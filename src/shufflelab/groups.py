@@ -10,6 +10,9 @@ chain: pick a base point, build the orbit with a transversal, make
 every Schreier generator sift to the identity through the rest of the
 chain, and multiply the orbit sizes.  All arithmetic is exact Python
 integers; the orders here overflow 64 bits already at twenty cards.
+Permutations inside the chain are plain image tuples, and the product
+``_mul(p, q)`` applies p, then q; each product is one ``itemgetter``
+call, so the inner loops run at C speed.
 
 A brute-force breadth-first enumeration over deck arrangements doubles
 as an independent oracle for groups of modest order, and the closed
@@ -22,6 +25,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .deck import Permutation, ShuffleLabError
@@ -44,7 +48,19 @@ class NoClosedFormError(ShuffleLabError):
 
 
 def size_cap() -> int:
-    return int(os.environ.get("SHUFFLELAB_SIZE_CAP", DEFAULT_SIZE_CAP))
+    """The chain deck-size cap: SHUFFLELAB_SIZE_CAP if set, else the default."""
+    text = os.environ.get("SHUFFLELAB_SIZE_CAP")
+    if text is None:
+        return DEFAULT_SIZE_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 2:
+        raise ShuffleLabError(
+            f"SHUFFLELAB_SIZE_CAP must be an integer >= 2, got {text!r}"
+        )
+    return cap
 
 
 def family_generators(family: Family, size: int) -> list[Permutation]:
@@ -67,8 +83,10 @@ def family_generators(family: Family, size: int) -> list[Permutation]:
 
 
 def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p, then q
-    return tuple(q[x] for x in p)
+    # apply p, then q.  Only called on the elements of a chain level, which
+    # move a point and so have degree >= 2: with one index itemgetter would
+    # return a bare int, with none it would raise.
+    return itemgetter(*p)(q)
 
 
 def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -96,7 +114,9 @@ class _Level:
         self.transversal = {beta: identity}
         self.inv_transversal = {beta: identity}
         self.tree_edges: set[tuple[int, int]] = set()
-        self.pending: deque[tuple[int, int]] = deque()
+        # Schreier pairs (a, j) still to process, in batches: every point of
+        # the first sequence with every generator index of the second
+        self.pending: deque[tuple[Sequence[int], Sequence[int]]] = deque()
 
 
 class StabilizerChain:
@@ -128,6 +148,9 @@ class StabilizerChain:
             if residue is not None:
                 self._register(residue, depth)
                 self._drain()
+        for level in self._levels:
+            # only construction reads these; drop them to free their memory
+            del level.tree_edges, level.pending
 
     # construction
 
@@ -144,7 +167,7 @@ class StabilizerChain:
         level = self._levels[i]
         index = len(level.orbit_gens)
         level.orbit_gens.append(g)
-        level.pending.extend((a, index) for a in level.transversal)
+        level.pending.append((list(level.transversal), (index,)))
         # close the orbit under the enlarged generator list
         queue = deque(level.transversal)
         while queue:
@@ -157,7 +180,7 @@ class StabilizerChain:
                     level.transversal[b] = u_b
                     level.inv_transversal[b] = _inv(u_b)
                     level.tree_edges.add((a, j))
-                    level.pending.extend((b, jj) for jj in range(len(level.orbit_gens)))
+                    level.pending.append(((b,), range(len(level.orbit_gens))))
                     queue.append(b)
 
     def _drain(self) -> None:
@@ -168,16 +191,19 @@ class StabilizerChain:
                 level = self._levels[i]
                 while level.pending:
                     dirty = True
-                    a, j = level.pending.popleft()
-                    if (a, j) in level.tree_edges:
-                        continue
-                    h = level.orbit_gens[j]
-                    schreier = _mul(
-                        _mul(level.transversal[a], h), level.inv_transversal[h[a]]
-                    )
-                    residue, depth = self._sift_tuple(schreier, i + 1)
-                    if residue is not None:
-                        self._register(residue, depth)
+                    points, indices = level.pending.popleft()
+                    for a in points:
+                        for j in indices:
+                            if (a, j) in level.tree_edges:
+                                continue
+                            h = level.orbit_gens[j]
+                            schreier = _mul(
+                                _mul(level.transversal[a], h),
+                                level.inv_transversal[h[a]],
+                            )
+                            residue, depth = self._sift_tuple(schreier, i + 1)
+                            if residue is not None:
+                                self._register(residue, depth)
             if not dirty:
                 return
 
@@ -187,7 +213,10 @@ class StabilizerChain:
         """Strip transversal factors; (None, -1) means membership."""
         for idx in range(start, len(self._levels)):
             level = self._levels[idx]
-            u_inv = level.inv_transversal.get(g[level.beta])
+            image = g[level.beta]
+            if image == level.beta:
+                continue  # the transversal factor is the identity
+            u_inv = level.inv_transversal.get(image)
             if u_inv is None:
                 return g, idx
             g = _mul(g, u_inv)
@@ -242,6 +271,13 @@ def schreier_sims(
 # -- brute-force oracles ------------------------------------------------------
 
 
+def _common_degree(generators: Sequence[Permutation]) -> int:
+    degree = generators[0].degree if generators else 0
+    if any(g.degree != degree for g in generators):
+        raise ShuffleLabError("generators must act on the same points")
+    return degree
+
+
 def brute_force_order(
     generators: Sequence[Permutation], limit: int = BRUTE_FORCE_LIMIT
 ) -> int:
@@ -251,21 +287,25 @@ def brute_force_order(
     deck, so the orbit size is the group order.  Exceeding ``limit``
     states raises instead of returning a partial count.
     """
-    if not generators:
-        return 1
-    m = generators[0].degree
+    m = _common_degree(generators)
+    if m < 2:
+        return 1  # only the identity acts on fewer than two points
     # arr' = arr after the shuffle: arr'[q] = arr[g^-1(q)]
-    inverses = [_inv(g.images) for g in generators]
+    shuffles = [itemgetter(*_inv(g.images)) for g in generators]
     start = tuple(range(m))
-    seen = {start}
+    # A dict rather than a set: it frees the states in the order they were
+    # found.  Freed in a set's hash order, the first of them would fill
+    # CPython's tuple free list with blocks from every arena the search used,
+    # keeping that memory from the system until a full garbage collection.
+    seen = {start: None}
     frontier = [start]
     while frontier:
         fresh = []
         for arr in frontier:
-            for g_inv in inverses:
-                nxt = tuple(arr[i] for i in g_inv)
+            for shuffle in shuffles:
+                nxt = shuffle(arr)
                 if nxt not in seen:
-                    seen.add(nxt)
+                    seen[nxt] = None
                     fresh.append(nxt)
                     if len(seen) > limit:
                         raise CapExceededError(
@@ -285,20 +325,26 @@ def tuple_transitivity_order(
     """
     if not generators:
         return 1
-    m = generators[0].degree
+    m = _common_degree(generators)
     if not 0 <= t <= m:
         raise ShuffleLabError(f"tuple length {t} out of range for degree {m}")
+    if t == 0:
+        return 1  # every element fixes the empty tuple
     gens = [g.images for g in generators]
+    if t == 1:
+        # itemgetter with one index returns the bare image: make it a 1-tuple
+        gens = [tuple((x,) for x in g) for g in gens]
     start = tuple(range(t))
-    seen = {start}
+    seen = {start: None}  # a dict, as in brute_force_order
     frontier = [start]
     while frontier:
         fresh = []
         for tup in frontier:
+            images_of = itemgetter(*tup)
             for g in gens:
-                nxt = tuple(g[x] for x in tup)
+                nxt = images_of(g)
                 if nxt not in seen:
-                    seen.add(nxt)
+                    seen[nxt] = None
                     fresh.append(nxt)
                     if len(seen) > node_cap:
                         raise CapExceededError(

@@ -267,3 +267,15 @@ def test_size_cap_env_var(monkeypatch):
     import math
 
     assert proc.stdout.strip() == str(math.factorial(44) // 2)
+
+
+def test_bad_size_cap_env_var_is_an_error_line(monkeypatch):
+    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "shufflelab", "group-order", "--family", "faro", "--size", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: SHUFFLELAB_SIZE_CAP must be an integer >= 2, got 'abc'\n"

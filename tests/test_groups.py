@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflelab.deck import Permutation, ShuffleLabError
 from shufflelab.groups import (
@@ -16,6 +19,7 @@ from shufflelab.groups import (
     group_order,
     permutation_parity,
     schreier_sims,
+    size_cap,
     tuple_transitivity_order,
     verify_theorem,
 )
@@ -75,8 +79,78 @@ def test_membership_accepts_products_and_rejects_odd():
 
 
 def test_mismatched_generator_degrees_rejected():
-    with pytest.raises(ShuffleLabError):
-        schreier_sims([Permutation((1, 0)), Permutation((0, 1, 2))])
+    for gens in (
+        [Permutation((1, 0)), Permutation((0, 1, 2))],
+        [Permutation((0,)), Permutation((1, 0))],
+    ):
+        with pytest.raises(ShuffleLabError):
+            schreier_sims(gens)
+        with pytest.raises(ShuffleLabError):
+            brute_force_order(gens)
+        with pytest.raises(ShuffleLabError):
+            tuple_transitivity_order(gens, 1)
+
+
+def test_degree_zero_and_one_groups_are_trivial():
+    # products are itemgetter calls, which return a bare item for one index
+    # and raise for none
+    assert schreier_sims([], degree=0).order == 1
+    assert schreier_sims([Permutation((0,))]).order == 1
+    assert Permutation((0,)) in schreier_sims([Permutation((0,))])
+    assert brute_force_order([Permutation((0,))]) == 1
+    assert brute_force_order([Permutation(())]) == 1
+    assert tuple_transitivity_order([Permutation((0,))], 1) == 1
+
+
+# -- membership of random words -----------------------------------------------
+
+#: Per family: a small deck size, and whether swapping points a and b of the
+#: m points splits a block of a block system the group preserves.  Faro
+#: commutes with the mirror p <-> 2n-1-p; flip keeps the two faces p and p+2n
+#: of one card together; horseshoe at n even lies in the alternating group,
+#: where no transposition does.
+SPLITTING = {
+    Family.FARO: (12, lambda m, a, b: a != b and b != m - 1 - a),
+    Family.FLIP: (6, lambda m, a, b: a % (m // 2) != b % (m // 2)),
+    Family.HORSESHOE: (12, lambda m, a, b: a != b),
+}
+
+
+@functools.cache
+def _chain_of(family):
+    gens = family_generators(family, SPLITTING[family][0])
+    return gens, schreier_sims(gens)
+
+
+def _transposition(m, a, b):
+    images = list(range(m))
+    images[a], images[b] = b, a
+    return Permutation(tuple(images))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(list(SPLITTING)),
+    word=st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=24),
+    points=st.tuples(st.integers(0, 47), st.integers(0, 47)),
+)
+def test_random_words_are_members_and_block_splits_are_not(family, word, points):
+    gens, chain = _chain_of(family)
+    m = chain.degree
+    product = Permutation.identity(m)
+    for index, inverted in word:
+        step = gens[index].inverse() if inverted else gens[index]
+        product = product.then(step)
+    assert product in chain
+    assert chain.sift(product).is_identity()
+
+    a, b = points[0] % m, points[1] % m
+    splits = SPLITTING[family][1]
+    if not splits(m, a, b):
+        b = next(q for q in range(m) if splits(m, a, q))
+    outsider = product.then(_transposition(m, a, b))
+    assert outsider not in chain
+    assert not chain.sift(outsider).is_identity()
 
 
 # -- brute-force oracle equivalence -------------------------------------------
@@ -88,6 +162,23 @@ def test_chain_matches_enumeration():
     for family, size in cases:
         gens = family_generators(family, size)
         assert schreier_sims(gens).order == brute_force_order(gens)
+
+
+def test_chain_matches_sympy_above_brute_force_limit():
+    # an external chain implementation, for orders the brute-force oracle
+    # cannot reach and the closed forms are meant to be checked against
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    cases = [(Family.FARO, s) for s in (20, 24, 28)]
+    cases += [(Family.HORSESHOE, s) for s in (14, 16, 18)]
+    cases += [(Family.FLIP, s) for s in (8, 10, 12)]
+    for family, size in cases:
+        gens = family_generators(family, size)
+        chain = StabilizerChain(gens)
+        chain.verify()
+        external = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens]
+        )
+        assert chain.order == external.order(), (family, size)
 
 
 def test_brute_force_respects_limit():
@@ -115,6 +206,17 @@ def test_group_order_respects_size_cap(monkeypatch):
         group_order(Family.HORSESHOE, 12)
     monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "12")
     assert group_order(Family.HORSESHOE, 12) == 95040
+
+
+@pytest.mark.parametrize("value", ["abc", "", "12.5", "1", "0", "-40"])
+def test_bad_size_cap_is_a_shufflelab_error(monkeypatch, value):
+    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", value)
+    with pytest.raises(ShuffleLabError, match="SHUFFLELAB_SIZE_CAP"):
+        size_cap()
+    with pytest.raises(ShuffleLabError, match="SHUFFLELAB_SIZE_CAP"):
+        group_order(Family.FARO, 8)
+    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "2")
+    assert size_cap() == 2
 
 
 # -- closed forms -------------------------------------------------------------
@@ -245,6 +347,8 @@ def test_tuple_transitivity_orders():
     gens6 = family_generators(Family.HORSESHOE, 6)
     assert tuple_transitivity_order(gens6, 3) == 6 * 5 * 4 == 120
     assert tuple_transitivity_order(gens6, 0) == 1
+    gens8 = family_generators(Family.FARO, 8)
+    assert [tuple_transitivity_order(gens8, t) for t in range(4)] == [1, 8, 24, 24]
 
 
 def test_tuple_transitivity_node_cap():
