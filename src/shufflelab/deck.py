@@ -29,6 +29,14 @@ class ShuffleLabError(ValueError):
     """Invalid sizes, malformed text, or broken preconditions."""
 
 
+def check_deck_size(size: int) -> None:
+    """Refuse a deck size that is odd, below 2, or above ``MAX_DECK_SIZE``."""
+    if size < 2 or size % 2:
+        raise ShuffleLabError(f"deck size must be even and >= 2, got {size}")
+    if size > MAX_DECK_SIZE:
+        raise ShuffleLabError(f"deck size {size} exceeds cap {MAX_DECK_SIZE}")
+
+
 class NotStayStackError(ShuffleLabError):
     """Deck does not satisfy the stay-stack pairing."""
 
@@ -69,18 +77,14 @@ class Deck:
         cards = tuple(c if isinstance(c, Card) else Card(*c) for c in self.cards)
         object.__setattr__(self, "cards", cards)
         size = len(cards)
-        if size < 2 or size % 2:
-            raise ShuffleLabError(f"deck size must be even and >= 2, got {size}")
-        if size > MAX_DECK_SIZE:
-            raise ShuffleLabError(f"deck size {size} exceeds cap {MAX_DECK_SIZE}")
+        check_deck_size(size)
         if sorted(c.label for c in cards) != list(range(size)):
             raise ShuffleLabError("labels must be a permutation of 0..size-1")
 
     @classmethod
     def identity(cls, size: int) -> "Deck":
         """The face-down deck 0, 1, ..., size-1."""
-        if size < 2 or size % 2:
-            raise ShuffleLabError(f"deck size must be even and >= 2, got {size}")
+        check_deck_size(size)
         return cls(tuple(Card(i) for i in range(size)))
 
     @classmethod

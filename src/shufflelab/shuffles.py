@@ -39,6 +39,7 @@ from .deck import (
     Permutation,
     ShuffleLabError,
     apply_oriented,
+    check_deck_size,
 )
 
 
@@ -149,14 +150,10 @@ def family_in_out(family: Family) -> tuple[Shuffle, Shuffle]:
     return _FAMILY_IN_OUT[family]
 
 
-def _check_size(size: int) -> None:
-    if size < 2 or size % 2:
-        raise ShuffleLabError(f"deck size must be even and >= 2, got {size}")
-
-
 @lru_cache(maxsize=None)
 def _base_element(kind: Shuffle, size: int) -> OrientedPermutation:
-    _check_size(size)
+    # sizes are checked by the public entry points; faro-in builds faro-out
+    # at size + 2, which may be two cards past MAX_DECK_SIZE
     n = size // 2
     if kind is Shuffle.FARO_OUT:
         # position i goes to 2i mod (size-1); the bottom card stays put
@@ -210,12 +207,14 @@ def _element(kind: Shuffle, size: int, inverted: bool) -> OrientedPermutation:
 
 def element(step: StepLike, size: int) -> OrientedPermutation:
     """The oriented permutation of one shuffle at the given deck size."""
+    check_deck_size(size)
     step = as_step(step)
     return _element(step.shuffle, size, step.inverted)
 
 
 def word_element(word: WordLike, size: int) -> OrientedPermutation:
     """Fold a word into a single oriented permutation, left to right."""
+    check_deck_size(size)
     result = OrientedPermutation.identity(size)
     for step in as_word(word):
         result = result.then(element(step, size))
@@ -252,7 +251,7 @@ def route_top_to(target: int, size: int, family: Family) -> Word:
     and horseshoe shuffles move cards identically, so the same pattern
     works for both families.
     """
-    _check_size(size)
+    check_deck_size(size)
     if family not in (Family.FARO, Family.HORSESHOE):
         raise ShuffleLabError(f"routing is defined for faro/horseshoe, not {family}")
     if not 0 <= target < size:

@@ -232,6 +232,32 @@ def test_domain_errors_exit_one(capsys):
     assert "SHUFFLELAB_SIZE_CAP" in err
 
 
+@pytest.mark.parametrize("size", ["7", "0", "-4"])
+def test_order_of_empty_word_checks_the_size(capsys, size):
+    code, out, err = run_cli(capsys, "order", "--size", size, "--word", ",")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: deck size must be even and >= 2, got {size}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("order", "--word", "faro-out"),
+        ("elmsley", "--family", "faro", "--from", "3"),
+        ("route", "--family", "horse", "--to", "3"),
+    ],
+)
+def test_deck_size_cap_applies_to_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--size", "131072")
+    assert code == 1
+    assert out == ""
+    assert err == "error: deck size 131072 exceeds cap 65536\n"
+    code, out, _ = run_cli(capsys, *argv, "--size", "65536")
+    assert code == 0
+    assert out
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["apply", "--size", "10"])  # missing --word

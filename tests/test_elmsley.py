@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from shufflelab.deck import Deck, ShuffleLabError
+from shufflelab.deck import MAX_DECK_SIZE, Deck, ShuffleLabError
 from shufflelab.elmsley import (
     PositionGraph,
     second_position_cycle,
@@ -131,6 +131,14 @@ def test_position_graph_edges_agree_with_elements():
 def test_position_graph_rejects_flip():
     with pytest.raises(ShuffleLabError):
         PositionGraph.build(8, Family.FLIP)
+
+
+def test_position_graph_caps_the_deck_size():
+    with pytest.raises(ShuffleLabError, match="exceeds cap"):
+        PositionGraph.build(2 * MAX_DECK_SIZE, Family.FARO)
+    with pytest.raises(ShuffleLabError, match="even"):
+        PositionGraph.build(7, Family.HORSESHOE)
+    assert PositionGraph.build(MAX_DECK_SIZE, Family.HORSESHOE).size == MAX_DECK_SIZE
 
 
 def test_bad_positions_rejected():

@@ -187,6 +187,61 @@ def test_brute_force_respects_limit():
         brute_force_order(gens, limit=1000)
 
 
+def _cycle(m):
+    return Permutation(tuple((i + 1) % m for i in range(m)))
+
+
+def _reflection(m):
+    return Permutation(tuple(-i % m for i in range(m)))
+
+
+#: Groups on both sides of the 256-point boundary between the oracle's bytes
+#: and str states: generators, degree and order.  Flip(128) = Faro(256), of
+#: order 8 * 2^8; faro(512) has order 9 * 2^9.
+BOUNDARY_GROUPS = {
+    "flip(128)": (lambda: family_generators(Family.FLIP, 128), 256, 2048),
+    "faro(512)": (lambda: family_generators(Family.FARO, 512), 512, 4608),
+    "300-cycle": (lambda: [_cycle(300)], 300, 300),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDARY_GROUPS))
+def test_brute_force_on_both_sides_of_the_byte_boundary(name):
+    make, degree, order = BOUNDARY_GROUPS[name]
+    gens = make()
+    assert gens[0].degree == degree
+    assert brute_force_order(gens, limit=order) == order
+    with pytest.raises(CapExceededError, match=f"exceeded {order - 1} states"):
+        brute_force_order(gens, limit=order - 1)
+
+
+def test_tuple_transitivity_above_the_byte_boundary():
+    m = 300
+    # the dihedral group of order 2m, in which only the identity fixes (0, 1)
+    dihedral = [_cycle(m), _reflection(m)]
+    orders = [tuple_transitivity_order(dihedral, t) for t in (0, 1, 2, m)]
+    assert orders == [1, m, 2 * m, 2 * m]
+    assert brute_force_order(dihedral) == 2 * m
+    assert tuple_transitivity_order(dihedral, m, node_cap=2 * m) == 2 * m
+    with pytest.raises(CapExceededError, match=f"exceeded {m - 1} nodes"):
+        tuple_transitivity_order(dihedral, 1, node_cap=m - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=3)
+    )
+)
+def test_oracles_agree_with_the_chain_on_random_groups(images):
+    # no closed form involved: three independent ways to count the group
+    gens = [Permutation(tuple(g)) for g in images]
+    m = gens[0].degree
+    order = schreier_sims(gens).order
+    assert brute_force_order(gens) == order
+    assert tuple_transitivity_order(gens, m) == order
+
+
 # -- group orders -------------------------------------------------------------
 
 

@@ -4,7 +4,14 @@ from itertools import permutations
 import pytest
 
 import oracles
-from shufflelab.deck import Card, Deck, ShuffleLabError, apply_oriented, expand_staystack
+from shufflelab.deck import (
+    MAX_DECK_SIZE,
+    Card,
+    Deck,
+    ShuffleLabError,
+    apply_oriented,
+    expand_staystack,
+)
 from shufflelab.groups import permutation_parity
 from shufflelab.shuffles import (
     Family,
@@ -191,6 +198,26 @@ def test_empty_word_is_identity():
     deck = Deck.identity(10)
     assert apply_word((), deck) == deck
     assert word_element((), 10).is_identity()
+
+
+def test_empty_word_still_checks_the_size():
+    for size in (7, 0, -4, MAX_DECK_SIZE + 2):
+        with pytest.raises(ShuffleLabError, match="deck size"):
+            word_element((), size)
+
+
+def test_entry_points_cap_the_deck_size():
+    big = 2 * MAX_DECK_SIZE
+    with pytest.raises(ShuffleLabError, match="exceeds cap"):
+        element(Shuffle.FARO_OUT, big)
+    with pytest.raises(ShuffleLabError, match="exceeds cap"):
+        word_element([Shuffle.FARO_OUT], big)
+    with pytest.raises(ShuffleLabError, match="exceeds cap"):
+        route_top_to(3, big, Family.FARO)
+    # faro-in is built from faro-out two cards past the cap
+    assert element(Shuffle.FARO_IN, MAX_DECK_SIZE).order() == 32
+    assert element_order([Shuffle.FARO_OUT], MAX_DECK_SIZE) == 16
+    assert len(route_top_to(MAX_DECK_SIZE - 1, MAX_DECK_SIZE, Family.FARO)) == 16
 
 
 def test_flip_out_period_is_eighteen():
