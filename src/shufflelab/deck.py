@@ -13,12 +13,20 @@ The stay-stack expansion links decks of two sizes.  An oriented deck of
 positions j and 4n-1-j always hold the two faces of one card: card
 (label, face) becomes point label + 2n*face, and point x pairs with
 (x + 2n) mod 4n.
+
+Checking policy: the public constructors ``Deck(...)``, ``Deck.parse``,
+``Permutation(...)`` and ``OrientedPermutation(...)`` check their
+arguments, and ``check_deck_size`` guards every entry point that takes a
+size.  Values derived from already-checked values (products, inverses,
+identities, moved decks) are built by ``_unchecked`` without a second
+check, so a word step costs one pass over the deck and no sort.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import xor
 from typing import Iterator, NamedTuple
 
 #: Hard upper bound on deck sizes; everything in scope is desk scale.
@@ -35,6 +43,14 @@ def check_deck_size(size: int) -> None:
         raise ShuffleLabError(f"deck size must be even and >= 2, got {size}")
     if size > MAX_DECK_SIZE:
         raise ShuffleLabError(f"deck size {size} exceeds cap {MAX_DECK_SIZE}")
+
+
+def _unchecked(cls: type, *values: object):
+    """Build a frozen dataclass from values known to be valid, skipping checks."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class NotStayStackError(ShuffleLabError):
@@ -76,16 +92,15 @@ class Deck:
     def __post_init__(self) -> None:
         cards = tuple(c if isinstance(c, Card) else Card(*c) for c in self.cards)
         object.__setattr__(self, "cards", cards)
-        size = len(cards)
-        check_deck_size(size)
-        if sorted(c.label for c in cards) != list(range(size)):
+        check_deck_size(len(cards))
+        if sorted(c.label for c in cards) != list(range(len(cards))):
             raise ShuffleLabError("labels must be a permutation of 0..size-1")
 
     @classmethod
     def identity(cls, size: int) -> "Deck":
         """The face-down deck 0, 1, ..., size-1."""
         check_deck_size(size)
-        return cls(tuple(Card(i) for i in range(size)))
+        return _unchecked(cls, tuple(map(Card, range(size))))
 
     @classmethod
     def parse(cls, text: str) -> "Deck":
@@ -136,7 +151,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(m)))
+        return _unchecked(cls, tuple(range(m)))
 
     @property
     def degree(self) -> int:
@@ -149,13 +164,14 @@ class Permutation:
         """Composition: apply self first, then other."""
         if other.degree != self.degree:
             raise ShuffleLabError("degree mismatch in composition")
-        return Permutation(tuple(other.images[x] for x in self.images))
+        images = tuple(map(other.images.__getitem__, self.images))
+        return _unchecked(Permutation, images)
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for p, x in enumerate(self.images):
             inv[x] = p
-        return Permutation(tuple(inv))
+        return _unchecked(Permutation, tuple(inv))
 
     def is_identity(self) -> bool:
         return all(p == x for p, x in enumerate(self.images))
@@ -200,7 +216,7 @@ class OrientedPermutation:
 
     @classmethod
     def identity(cls, m: int) -> "OrientedPermutation":
-        return cls(Permutation.identity(m), (False,) * m)
+        return _unchecked(cls, Permutation.identity(m), (False,) * m)
 
     @property
     def degree(self) -> int:
@@ -209,16 +225,14 @@ class OrientedPermutation:
     def then(self, other: "OrientedPermutation") -> "OrientedPermutation":
         """Composition: apply self first, then other."""
         perm = self.perm.then(other.perm)
-        flips = tuple(
-            self.flips[p] ^ other.flips[self.perm.images[p]]
-            for p in range(self.degree)
-        )
-        return OrientedPermutation(perm, flips)
+        carried = map(other.flips.__getitem__, self.perm.images)
+        flips = tuple(map(xor, self.flips, carried))
+        return _unchecked(OrientedPermutation, perm, flips)
 
     def inverse(self) -> "OrientedPermutation":
         inv = self.perm.inverse()
-        flips = tuple(self.flips[inv.images[x]] for x in range(self.degree))
-        return OrientedPermutation(inv, flips)
+        flips = tuple(map(self.flips.__getitem__, inv.images))
+        return _unchecked(OrientedPermutation, inv, flips)
 
     def is_identity(self) -> bool:
         return self.perm.is_identity() and not any(self.flips)
@@ -244,13 +258,9 @@ class OrientedPermutation:
         given face; the embedding is an injective homomorphism.
         """
         m = self.degree
-        images = [0] * (2 * m)
-        for p in range(m):
-            dest = self.perm.images[p]
-            flip = self.flips[p]
-            images[p] = dest + m * flip
-            images[p + m] = dest + m * (not flip)
-        return Permutation(tuple(images))
+        low = tuple(dest + m * flip for dest, flip in zip(self.perm.images, self.flips))
+        high = tuple((x + m) % (2 * m) for x in low)  # the other face
+        return _unchecked(Permutation, low + high)
 
 
 def apply_oriented(op: OrientedPermutation, deck: Deck) -> Deck:
@@ -259,10 +269,10 @@ def apply_oriented(op: OrientedPermutation, deck: Deck) -> Deck:
         raise ShuffleLabError(
             f"size mismatch: permutation on {op.degree}, deck of {deck.size}"
         )
-    cards: list[Card] = [Card(0)] * deck.size
-    for p, card in enumerate(deck.cards):
-        cards[op.perm.images[p]] = card.turned() if op.flips[p] else card
-    return Deck(tuple(cards))
+    cards = deck.cards
+    if True in op.flips:
+        cards = tuple(c.turned() if f else c for c, f in zip(cards, op.flips))
+    return _unchecked(Deck, tuple(map(cards.__getitem__, op.perm.inverse().images)))
 
 
 def expand_staystack(deck: Deck) -> Deck:
@@ -273,12 +283,13 @@ def expand_staystack(deck: Deck) -> Deck:
     """
     half = deck.size
     full = 2 * half
+    check_deck_size(full)
     labels = [0] * full
     for j, card in enumerate(deck.cards):
         point = card.label + half * card.face_up
         labels[j] = point
         labels[full - 1 - j] = (point + half) % full
-    return Deck(tuple(Card(x) for x in labels))
+    return _unchecked(Deck, tuple(map(Card, labels)))
 
 
 def contract_staystack(deck: Deck) -> Deck:
@@ -286,13 +297,9 @@ def contract_staystack(deck: Deck) -> Deck:
     if deck.size % 4:
         raise NotStayStackError(f"deck size {deck.size} is not a multiple of 4")
     half = deck.size // 2
+    cards = tuple(Card(c.label % half, c.label >= half) for c in deck.cards[:half])
     try:
-        candidate = Deck(
-            tuple(
-                Card(c.label % half, c.label >= half)
-                for c in deck.cards[:half]
-            )
-        )
+        candidate = Deck(cards)
     except ShuffleLabError as exc:
         raise NotStayStackError(f"first half does not encode a deck: {exc}") from exc
     if any(c.face_up for c in deck.cards) or expand_staystack(candidate) != deck:

@@ -341,8 +341,6 @@ def tuple_transitivity_order(
     Equal to the group order exactly when the action is sharply
     t-transitive.
     """
-    if not generators:
-        return 1
     m = _common_degree(generators)
     if not 0 <= t <= m:
         raise ShuffleLabError(f"tuple length {t} out of range for degree {m}")

@@ -150,56 +150,50 @@ def family_in_out(family: Family) -> tuple[Shuffle, Shuffle]:
     return _FAMILY_IN_OUT[family]
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by each element cache; holds the elements of a table sweep.
+_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _base_element(kind: Shuffle, size: int) -> OrientedPermutation:
-    # sizes are checked by the public entry points; faro-in builds faro-out
-    # at size + 2, which may be two cards past MAX_DECK_SIZE
-    n = size // 2
+    s = size
     if kind is Shuffle.FARO_OUT:
         # position i goes to 2i mod (size-1); the bottom card stays put
-        images = tuple(
-            2 * i % (size - 1) if i < size - 1 else i for i in range(size)
-        )
-        return OrientedPermutation(Permutation(images), (False,) * size)
+        return _table((*range(0, s - 1, 2), *range(1, s - 1, 2), s - 1))
     if kind is Shuffle.FARO_IN:
-        # add a phantom top and bottom card, out-shuffle, strip them
-        padded = _base_element(Shuffle.FARO_OUT, size + 2)
-        images = tuple(padded.perm.images[i + 1] - 1 for i in range(size))
-        return OrientedPermutation(Permutation(images), (False,) * size)
-    if kind in (Shuffle.FLIP_OUT, Shuffle.FLIP_IN, Shuffle.HORSE_OUT, Shuffle.HORSE_IN):
-        flip_bottom = kind in (Shuffle.FLIP_OUT, Shuffle.FLIP_IN)
-        inward = kind in (Shuffle.FLIP_IN, Shuffle.HORSE_IN)
-        images = [0] * size
-        flips = [False] * size
-        for j in range(n):
-            top_src = j
-            bottom_src = size - 1 - j  # bottom half comes out reversed
-            first, second = (bottom_src, top_src) if inward else (top_src, bottom_src)
-            images[first] = 2 * j
-            images[second] = 2 * j + 1
-            if flip_bottom:
-                flips[bottom_src] = True
-        return OrientedPermutation(Permutation(tuple(images)), tuple(flips))
-    if kind is Shuffle.MILK:
+        # position i goes to 2i+1 mod (size+1)
+        return _table((*range(1, s, 2), *range(0, s, 2)))
+    if kind in (Shuffle.FLIP_OUT, Shuffle.HORSE_OUT):
+        # the top half lands on even positions, the reversed bottom half on odd
+        images = (*range(0, s, 2), *range(s - 1, 0, -2))
+        return _table(images, flip_bottom=kind is Shuffle.FLIP_OUT)
+    if kind in (Shuffle.FLIP_IN, Shuffle.HORSE_IN):
+        # the reversed bottom half lands on even positions, the top half on odd
+        images = (*range(1, s, 2), *range(s - 2, -1, -2))
+        return _table(images, flip_bottom=kind is Shuffle.FLIP_IN)
+    if kind in (Shuffle.MILK, Shuffle.MILK_SWAP):
         turn = _base_element(Shuffle.TURN_OVER, size)
-        return turn.then(_base_element(Shuffle.HORSE_IN, size)).then(turn)
-    if kind is Shuffle.MILK_SWAP:
-        turn = _base_element(Shuffle.TURN_OVER, size)
-        return turn.then(_base_element(Shuffle.HORSE_OUT, size)).then(turn)
-    if kind is Shuffle.MONGE_UNDER:
-        return _base_element(Shuffle.MILK, size).inverse()
-    if kind is Shuffle.MONGE_OVER:
-        return _base_element(Shuffle.MILK_SWAP, size).inverse()
-    if kind is Shuffle.REVERSE:
-        images = tuple(size - 1 - i for i in range(size))
-        return OrientedPermutation(Permutation(images), (False,) * size)
-    if kind is Shuffle.TURN_OVER:
-        images = tuple(size - 1 - i for i in range(size))
-        return OrientedPermutation(Permutation(images), (True,) * size)
+        horse = Shuffle.HORSE_IN if kind is Shuffle.MILK else Shuffle.HORSE_OUT
+        return turn.then(_base_element(horse, size)).then(turn)
+    if kind in (Shuffle.MONGE_UNDER, Shuffle.MONGE_OVER):
+        milk = Shuffle.MILK if kind is Shuffle.MONGE_UNDER else Shuffle.MILK_SWAP
+        return _base_element(milk, size).inverse()
+    if kind in (Shuffle.REVERSE, Shuffle.TURN_OVER):
+        flip = kind is Shuffle.TURN_OVER
+        return _table(tuple(range(s - 1, -1, -1)), flip, flip)
     raise ShuffleLabError(f"unknown shuffle kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
+def _table(
+    images: tuple[int, ...], flip_top: bool = False, flip_bottom: bool = False
+) -> OrientedPermutation:
+    """A shuffle through the checking constructors, turning whole deck halves."""
+    n = len(images) // 2
+    flips = (flip_top,) * n + (flip_bottom,) * n
+    return OrientedPermutation(Permutation(images), flips)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _element(kind: Shuffle, size: int, inverted: bool) -> OrientedPermutation:
     base = _base_element(kind, size)
     return base.inverse() if inverted else base
@@ -223,9 +217,7 @@ def word_element(word: WordLike, size: int) -> OrientedPermutation:
 
 def apply_word(word: WordLike, deck: Deck) -> Deck:
     """Apply a word of shuffles to a deck, left to right."""
-    for step in as_word(word):
-        deck = apply_oriented(element(step, deck.size), deck)
-    return deck
+    return apply_oriented(word_element(word, deck.size), deck)
 
 
 def element_order(word: WordLike, size: int) -> int:

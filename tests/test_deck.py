@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from shufflelab.deck import (
+    MAX_DECK_SIZE,
     Card,
     Deck,
     NotStayStackError,
@@ -99,6 +100,22 @@ def test_apply_size_mismatch():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ShuffleLabError):
         Permutation((0, 0, 1))
+
+
+def test_flip_length_and_degree_mismatch_are_refused():
+    # products skip the constructors' checks, but not the check on their inputs
+    with pytest.raises(ShuffleLabError, match="flips length"):
+        OrientedPermutation(Permutation((1, 0)), (True,))
+    with pytest.raises(ShuffleLabError, match="degree mismatch"):
+        Permutation((1, 0)).then(Permutation((0, 1, 2)))
+    with pytest.raises(ShuffleLabError, match="degree mismatch"):
+        OrientedPermutation.identity(2).then(OrientedPermutation.identity(4))
+
+
+def test_expansion_past_the_cap_is_refused():
+    with pytest.raises(ShuffleLabError, match="exceeds cap"):
+        expand_staystack(Deck.identity(MAX_DECK_SIZE))
+    assert expand_staystack(Deck.identity(MAX_DECK_SIZE // 2)).size == MAX_DECK_SIZE
 
 
 def test_inverses_exhaustive_small():

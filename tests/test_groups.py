@@ -102,6 +102,14 @@ def test_degree_zero_and_one_groups_are_trivial():
     assert tuple_transitivity_order([Permutation((0,))], 1) == 1
 
 
+def test_tuple_length_checked_without_generators():
+    # no generators act on degree 0, where only the empty tuple exists
+    assert tuple_transitivity_order([], 0) == 1
+    for t in (-3, 1, 99):
+        with pytest.raises(ShuffleLabError, match="out of range"):
+            tuple_transitivity_order([], t)
+
+
 # -- membership of random words -----------------------------------------------
 
 #: Per family: a small deck size, and whether swapping points a and b of the

@@ -1,15 +1,22 @@
+import functools
 import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from shufflelab import shuffles
 from shufflelab.deck import (
     MAX_DECK_SIZE,
     Card,
     Deck,
+    OrientedPermutation,
+    Permutation,
     ShuffleLabError,
     apply_oriented,
+    contract_staystack,
     expand_staystack,
 )
 from shufflelab.groups import permutation_parity
@@ -214,7 +221,7 @@ def test_entry_points_cap_the_deck_size():
         word_element([Shuffle.FARO_OUT], big)
     with pytest.raises(ShuffleLabError, match="exceeds cap"):
         route_top_to(3, big, Family.FARO)
-    # faro-in is built from faro-out two cards past the cap
+    # the cap itself is a valid size for every entry point
     assert element(Shuffle.FARO_IN, MAX_DECK_SIZE).order() == 32
     assert element_order([Shuffle.FARO_OUT], MAX_DECK_SIZE) == 16
     assert len(route_top_to(MAX_DECK_SIZE - 1, MAX_DECK_SIZE, Family.FARO)) == 16
@@ -443,3 +450,108 @@ def test_inout_text_rejects_non_inout():
         inout_text((Step(Shuffle.MILK),))
     with pytest.raises(ShuffleLabError):
         inout_text((Step(Shuffle.FARO_IN, inverted=True),))
+
+
+# -- the element caches -------------------------------------------------------
+
+
+def test_element_caches_stay_bounded():
+    # a long-lived process asking for many sizes keeps a bounded number
+    for size in range(2, 402, 2):
+        element(Step(Shuffle.FARO_IN, inverted=True), size)
+    for cache in (shuffles._base_element, shuffles._element):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 64
+        assert info.currsize <= info.maxsize
+
+
+# -- interlacing tables at the size cap ---------------------------------------
+
+
+@pytest.mark.parametrize("kind", list(INTERLACE_KINDS))
+def test_interlace_tables_at_the_cap_match_simulation(kind):
+    got = apply_oriented(element(kind, MAX_DECK_SIZE), Deck.identity(MAX_DECK_SIZE))
+    start = oracles.face_down_range(MAX_DECK_SIZE)
+    assert as_tuples(got) == oracles.cut_interlace(start, INTERLACE_KINDS[kind])
+
+
+# -- properties of words, products and inverses -------------------------------
+
+#: Each shuffle as a move-by-move table procedure on (label, face_up) tuples.
+PROCEDURES = {
+    **{kind: functools.partial(oracles.cut_interlace, mode=mode)
+       for kind, mode in INTERLACE_KINDS.items()},
+    Shuffle.MILK: functools.partial(oracles.milk_deal, former_top_first=True),
+    Shuffle.MILK_SWAP: functools.partial(oracles.milk_deal, former_top_first=False),
+    Shuffle.MONGE_UNDER: functools.partial(oracles.monge_deal, second_under=False),
+    Shuffle.MONGE_OVER: functools.partial(oracles.monge_deal, second_under=True),
+    Shuffle.REVERSE: lambda cards: list(reversed(cards)),
+    Shuffle.TURN_OVER: lambda cards: [(label, not face) for label, face in reversed(cards)],
+}
+
+
+def simulate(step, cards):
+    """One step done by hand; an inverted step undoes the procedure."""
+    procedure = PROCEDURES[step.shuffle]
+    if not step.inverted:
+        return procedure(cards)
+    # the procedure brings the card at position p to q, turned or not
+    out = [None] * len(cards)
+    for q, (p, turned) in enumerate(procedure(oracles.face_down_range(len(cards)))):
+        label, face = cards[q]
+        out[p] = (label, face != turned)
+    return out
+
+
+sizes = st.integers(1, 20).map(lambda k: 2 * k)
+steps = st.builds(Step, st.sampled_from(list(Shuffle)), st.booleans())
+words = st.lists(steps, max_size=12).map(tuple)
+
+
+@st.composite
+def oriented_decks(draw):
+    size = draw(sizes)
+    labels = draw(st.permutations(range(size)))
+    faces = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return Deck(tuple(map(Card, labels, faces)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(u=words, v=words, size=sizes)
+def test_word_element_is_a_homomorphism(u, v, size):
+    product = word_element(u, size).then(word_element(v, size))
+    assert word_element(u + v, size) == product
+    # products are built unchecked; they would pass the public checks
+    assert OrientedPermutation(Permutation(product.perm.images), product.flips) == product
+    assert all(type(f) is bool for f in product.flips)
+
+
+@settings(max_examples=50, deadline=None)
+@given(word=words, size=sizes)
+def test_inverse_laws(word, size):
+    op = word_element(word, size)
+    inv = op.inverse()
+    assert op.then(inv).is_identity() and inv.then(op).is_identity()
+    assert inv.inverse() == op
+    undo = tuple(Step(s.shuffle, not s.inverted) for s in reversed(word))
+    assert word_element(undo, size) == inv
+    assert OrientedPermutation(Permutation(inv.perm.images), inv.flips) == inv
+
+
+@settings(max_examples=50, deadline=None)
+@given(word=words, deck=oriented_decks())
+def test_apply_word_matches_step_by_step_simulation(word, deck):
+    cards = as_tuples(deck)
+    for step in word:
+        cards = simulate(step, cards)
+    got = apply_word(word, deck)
+    assert as_tuples(got) == cards
+    assert Deck(got.cards) == got
+
+
+@settings(max_examples=50, deadline=None)
+@given(ins=st.lists(st.booleans(), max_size=12), deck=oriented_decks())
+def test_staystack_expansion_commutes_with_words(ins, deck):
+    faro = [Shuffle.FARO_IN if i else Shuffle.FARO_OUT for i in ins]
+    flip = [Shuffle.FLIP_IN if i else Shuffle.FLIP_OUT for i in ins]
+    assert contract_staystack(apply_word(faro, expand_staystack(deck))) == apply_word(flip, deck)
