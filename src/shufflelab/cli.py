@@ -21,6 +21,7 @@ from .shuffles import (
     element_order,
     format_word,
     inout_text,
+    inout_tokens,
     parse_word,
     route_top_to,
 )
@@ -86,31 +87,30 @@ def _cmd_group_order(args: argparse.Namespace) -> int:
     family = Family.parse(args.family)
     order = group_order(family, args.size)
     payload: dict = {"family": family.value, "size": args.size, "order": order}
+    order_text = str(order)
     if args.factored:
         payload["order_factored"] = factored(order)
-    lines = []
-    status = 0
-    if args.check:
-        closed = closed_form_order(family, args.size)
-        match = order == closed.value
-        computed_text = f"{order} = {factored(order)}" if args.factored else str(order)
-        lines.append(f"computed: {computed_text}")
-        lines.append(f"closed-form: {closed.value} = {closed.factored} [{closed.case}]")
-        lines.append(f"match: {'yes' if match else 'no'}")
-        payload.update(
-            {
-                "closed_form": closed.value,
-                "closed_factored": closed.factored,
-                "case": closed.case,
-                "match": match,
-            }
-        )
-        if not match:
-            status = 1
-    else:
-        lines.append(f"{order} = {factored(order)}" if args.factored else str(order))
+        order_text += f" = {payload['order_factored']}"
+    if not args.check:
+        _emit(args, order_text, payload)
+        return 0
+    closed = closed_form_order(family, args.size)
+    match = order == closed.value
+    payload.update(
+        {
+            "closed_form": closed.value,
+            "closed_factored": closed.factored,
+            "case": closed.case,
+            "match": match,
+        }
+    )
+    lines = [
+        f"computed: {order_text}",
+        f"closed-form: {closed.value} = {closed.factored} [{closed.case}]",
+        f"match: {'yes' if match else 'no'}",
+    ]
     _emit(args, "\n".join(lines), payload)
-    return status
+    return 0 if match else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -146,7 +146,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
             "size": args.size,
             "family": family.value,
             "to": args.to,
-            "word": [token for token in inout_text(word).split(", ") if token],
+            "word": inout_tokens(word),
         },
     )
     return 0
@@ -156,37 +156,20 @@ def _cmd_trick(args: argparse.Namespace) -> int:
     left = _parse_trick_card(args.left, args.k)
     right = _parse_trick_card(args.right, args.k)
     ordering = predict_from_ends(args.k, left, right)
-    _emit(
-        args,
-        ordering.display(),
-        {
-            "k": args.k,
-            "left": card_name(left, args.k),
-            "right": card_name(right, args.k),
-            "first": ordering.first,
-            "start": str(ordering.start),
-            "skipped": str(ordering.skipped()),
-            "values": list(ordering.values),
-            "display": ordering.display(),
-        },
-    )
+    payload = {
+        **ordering.to_dict(),
+        "left": card_name(left, args.k),
+        "right": card_name(right, args.k),
+        "skipped": str(ordering.skipped()),
+    }
+    _emit(args, payload["display"], payload)
     return 0
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
     start = DiagramOp.parse(args.start)
     ordering = generate(args.k, args.first, start)
-    _emit(
-        args,
-        " ".join(str(v) for v in ordering.values),
-        {
-            "k": args.k,
-            "first": args.first,
-            "start": str(start),
-            "values": list(ordering.values),
-            "display": ordering.display(),
-        },
-    )
+    _emit(args, " ".join(str(v) for v in ordering.values), ordering.to_dict())
     return 0
 
 

@@ -14,7 +14,16 @@ from collections import deque
 from dataclasses import dataclass
 
 from .deck import ShuffleLabError
-from .shuffles import Family, Shuffle, Step, Word, element, family_in_out, inout_text
+from .shuffles import (
+    Family,
+    Shuffle,
+    Step,
+    Word,
+    element,
+    family_in_out,
+    inout_text,
+    inout_tokens,
+)
 
 #: Safety cap on enumerated minimal words per query.
 MAX_WORDS = 10_000
@@ -63,17 +72,13 @@ class SolutionSet:
         return "\n".join(inout_text(w) for w in self.words)
 
     def to_dict(self) -> dict:
-        in_kind = family_in_out(self.family)[0]
         return {
             "size": self.size,
             "family": self.family.value,
             "from": self.source,
             "to": self.target,
             "length": self.length,
-            "words": [
-                ["in" if step.shuffle is in_kind else "out" for step in word]
-                for word in self.words
-            ],
+            "words": [inout_tokens(word) for word in self.words],
         }
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
-from .deck import Permutation, ShuffleLabError
+from .deck import Permutation, ShuffleLabError, _unchecked, check_deck_size
 from .shuffles import Family, element, family_in_out
 
 #: Deck-size cap for chain computations, overridable via SHUFFLELAB_SIZE_CAP.
@@ -82,6 +82,17 @@ def family_generators(family: Family, size: int) -> list[Permutation]:
     return [element(in_kind, size).perm, element(out_kind, size).perm]
 
 
+def _common_degree(
+    generators: Sequence[Permutation], degree: Optional[int] = None
+) -> int:
+    """The degree every generator acts on: ``degree``, else the first one's."""
+    if degree is None:
+        degree = generators[0].degree if generators else 0
+    if any(g.degree != degree for g in generators):
+        raise ShuffleLabError("generators must act on the same points")
+    return degree
+
+
 # -- stabilizer chain ---------------------------------------------------------
 
 
@@ -100,23 +111,13 @@ def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Level:
-    __slots__ = (
-        "beta",
-        "intro_gens",
-        "orbit_gens",
-        "transversal",
-        "inv_transversal",
-        "tree_edges",
-        "pending",
-    )
+    __slots__ = ("beta", "orbit_gens", "transversal", "inv_transversal", "pending")
 
     def __init__(self, beta: int, identity: tuple[int, ...]):
         self.beta = beta
-        self.intro_gens: list[tuple[int, ...]] = []
         self.orbit_gens: list[tuple[int, ...]] = []
         self.transversal = {beta: identity}
         self.inv_transversal = {beta: identity}
-        self.tree_edges: set[tuple[int, int]] = set()
         # Schreier pairs (a, j) still to process, in batches: every point of
         # the first sequence with every generator index of the second
         self.pending: deque[tuple[Sequence[int], Sequence[int]]] = deque()
@@ -134,26 +135,21 @@ class StabilizerChain:
     A generator introduced at level j fixes the first j base points, so
     it also takes part in the orbits of every level above it; orbits
     grow monotonically and transversal entries are never relabeled,
-    which lets each Schreier pair be processed exactly once.
+    which lets each Schreier pair be processed exactly once.  Every
+    registered generator joins level 0, so level 0's generator list is
+    the strong generating set, in registration order.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
         gens = list(generators)
-        if degree is None:
-            degree = gens[0].degree if gens else 0
-        if any(g.degree != degree for g in gens):
-            raise ShuffleLabError("generators must act on the same points")
-        self.degree = degree
-        self._identity = tuple(range(degree))
+        self.degree = _common_degree(gens, degree)
+        self._identity = tuple(range(self.degree))
         self._levels: list[_Level] = []
         for g in gens:
             residue, depth = self._sift_tuple(g.images, 0)
             if residue is not None:
                 self._register(residue, depth)
                 self._drain()
-        for level in self._levels:
-            # only construction reads these; drop them to free their memory
-            del level.tree_edges, level.pending
 
     # construction
 
@@ -162,7 +158,6 @@ class StabilizerChain:
         if j == len(self._levels):
             beta = min(p for p in range(self.degree) if g[p] != p)
             self._levels.append(_Level(beta, self._identity))
-        self._levels[j].intro_gens.append(g)
         for i in range(j + 1):
             self._attach(i, g)
 
@@ -176,13 +171,12 @@ class StabilizerChain:
         while queue:
             a = queue.popleft()
             u_a = level.transversal[a]
-            for j, h in enumerate(level.orbit_gens):
+            for h in level.orbit_gens:
                 b = h[a]
                 if b not in level.transversal:
                     u_b = _mul(u_a, h)
                     level.transversal[b] = u_b
                     level.inv_transversal[b] = _inv(u_b)
-                    level.tree_edges.add((a, j))
                     level.pending.append(((b,), range(len(level.orbit_gens))))
                     queue.append(b)
 
@@ -197,8 +191,6 @@ class StabilizerChain:
                     points, indices = level.pending.popleft()
                     for a in points:
                         for j in indices:
-                            if (a, j) in level.tree_edges:
-                                continue
                             h = level.orbit_gens[j]
                             schreier = _mul(
                                 _mul(level.transversal[a], h),
@@ -241,14 +233,15 @@ class StabilizerChain:
         return tuple(len(level.transversal) for level in self._levels)
 
     def strong_generators(self) -> list[Permutation]:
-        return [Permutation(g) for level in self._levels for g in level.intro_gens]
+        gens = self._levels[0].orbit_gens if self._levels else []
+        return [_unchecked(Permutation, g) for g in gens]
 
     def sift(self, p: Permutation) -> Permutation:
         """The residue after stripping transversal factors level by level."""
         if p.degree != self.degree:
             raise ShuffleLabError("degree mismatch")
         residue, _ = self._sift_tuple(p.images, 0)
-        return Permutation(self._identity if residue is None else residue)
+        return _unchecked(Permutation, self._identity if residue is None else residue)
 
     def __contains__(self, p: Permutation) -> bool:
         return p.degree == self.degree and self._sift_tuple(p.images, 0)[0] is None
@@ -272,13 +265,6 @@ def schreier_sims(
 
 
 # -- brute-force oracles ------------------------------------------------------
-
-
-def _common_degree(generators: Sequence[Permutation]) -> int:
-    degree = generators[0].degree if generators else 0
-    if any(g.degree != degree for g in generators):
-        raise ShuffleLabError("generators must act on the same points")
-    return degree
 
 
 def _orbit_size(
@@ -389,11 +375,11 @@ class ClosedForm(NamedTuple):
 def closed_form_order(family: Family, size: int) -> ClosedForm:
     """The tabulated closed-form order, with its case label.
 
-    Flip defers to faro at twice the size.  Sizes below 4 are refused:
-    the case tables contradict each other there.
+    Flip defers to faro at twice the size.  Sizes the deck-size policy
+    refuses are refused here too, and size 2 has no closed form: the
+    case tables contradict each other there.
     """
-    if size % 2:
-        raise ShuffleLabError(f"deck size must be even, got {size}")
+    check_deck_size(size)
     if family is Family.FARO:
         return _closed_form_faro(size)
     if family is Family.HORSESHOE:

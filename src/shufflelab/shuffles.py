@@ -65,9 +65,6 @@ class Shuffle(Enum):
 
 _BY_TOKEN = {kind.value: kind for kind in Shuffle}
 
-_IN_KINDS = frozenset({Shuffle.FARO_IN, Shuffle.FLIP_IN, Shuffle.HORSE_IN})
-_OUT_KINDS = frozenset({Shuffle.FARO_OUT, Shuffle.FLIP_OUT, Shuffle.HORSE_OUT})
-
 
 @dataclass(frozen=True)
 class Step:
@@ -142,6 +139,13 @@ _FAMILY_IN_OUT = {
     Family.FARO: (Shuffle.FARO_IN, Shuffle.FARO_OUT),
     Family.FLIP: (Shuffle.FLIP_IN, Shuffle.FLIP_OUT),
     Family.HORSESHOE: (Shuffle.HORSE_IN, Shuffle.HORSE_OUT),
+}
+
+#: The generic in/out token of every family's in and out shuffle.
+_INOUT_TOKENS = {
+    kind: token
+    for pair in _FAMILY_IN_OUT.values()
+    for kind, token in zip(pair, ("in", "out"))
 }
 
 
@@ -225,14 +229,20 @@ def element_order(word: WordLike, size: int) -> int:
     return word_element(word, size).order()
 
 
+def inout_tokens(word: WordLike) -> list[str]:
+    """The generic tokens of an in/out word, e.g. ``["in", "out", "out"]``."""
+    tokens = []
+    for step in as_word(word):
+        token = None if step.inverted else _INOUT_TOKENS.get(step.shuffle)
+        if token is None:
+            raise ShuffleLabError(f"not an in/out shuffle: {step}")
+        tokens.append(token)
+    return tokens
+
+
 def inout_text(word: WordLike) -> str:
     """Render an in/out word generically, e.g. ``in, out, out``."""
-    parts = []
-    for step in as_word(word):
-        if step.inverted or step.shuffle not in _IN_KINDS | _OUT_KINDS:
-            raise ShuffleLabError(f"not an in/out shuffle: {step}")
-        parts.append("in" if step.shuffle in _IN_KINDS else "out")
-    return ", ".join(parts)
+    return ", ".join(inout_tokens(word))
 
 
 def route_top_to(target: int, size: int, family: Family) -> Word:

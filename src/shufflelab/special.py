@@ -122,6 +122,16 @@ class SpecialOrdering:
     def display(self) -> str:
         return " ".join(card_name(v, self.k) for v in self.values)
 
+    def to_dict(self) -> dict:
+        """JSON form: keys ``k``, ``first``, ``start``, ``values``, ``display``."""
+        return {
+            "k": self.k,
+            "first": self.first,
+            "start": str(self.start),
+            "values": list(self.values),
+            "display": self.display(),
+        }
+
 
 def generate(k: int, first: int, start: DiagramOp) -> SpecialOrdering:
     """Grow the ordering from ``first`` using k cycle ops from ``start``."""
@@ -211,13 +221,9 @@ class TrickTranscript:
 
     def to_dict(self) -> dict:
         return {
-            "k": self.k,
+            **self.ordering.to_dict(),
             "word": [str(step) for step in self.word],
-            "first": self.ordering.first,
-            "start": str(self.ordering.start),
             "skipped": str(self.ordering.skipped()),
-            "values": list(self.values),
-            "display": self.ordering.display(),
         }
 
 

@@ -142,6 +142,12 @@ def test_verify_exits_nonzero_on_refused_entry(capsys):
     assert "error" in out.splitlines()[0]
 
 
+def test_verify_reports_sizes_above_the_deck_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--family", "flip", "--sizes", "65538")
+    assert code == 1
+    assert out == "flip(65538): error: deck size 65538 exceeds cap 65536\n"
+
+
 # -- structured output agrees with text ---------------------------------------
 
 

@@ -63,6 +63,39 @@ def test_chain_internal_consistency():
             assert gen in chain
 
 
+@pytest.mark.parametrize(
+    "family, size", [(Family.FARO, 12), (Family.FLIP, 6), (Family.HORSESHOE, 12)]
+)
+def test_chain_results_are_built_unchecked_and_valid(monkeypatch, family, size):
+    gens = family_generators(family, size)
+    chain = schreier_sims(gens)
+    rng = random.Random(size)
+    members = []
+    for _ in range(20):
+        product = Permutation.identity(chain.degree)
+        for _ in range(rng.randint(0, 8)):
+            product = product.then(rng.choice(gens))
+        members.append(product)
+    points = list(range(chain.degree))
+    strangers = [Permutation(tuple(rng.sample(points, len(points)))) for _ in range(20)]
+    strangers = [p for p in strangers if p not in chain]
+    assert strangers
+    checks = []
+    check = Permutation.__post_init__
+    monkeypatch.setattr(
+        Permutation, "__post_init__", lambda self: checks.append(check(self))
+    )
+    residues = [chain.sift(p) for p in members + strangers]
+    strong = chain.strong_generators()
+    monkeypatch.undo()
+    assert checks == []
+    for residue in residues:
+        assert sorted(residue.images) == points
+    assert all(r.is_identity() for r in residues[: len(members)])
+    assert not any(r.is_identity() for r in residues[len(members) :])
+    assert schreier_sims(strong).order == chain.order
+
+
 def test_membership_accepts_products_and_rejects_odd():
     rng = random.Random(21)
     for size in (8, 12):
@@ -316,6 +349,18 @@ def test_closed_form_refuses_tiny_sizes():
         closed_form_order(Family.FARO, 2)
     with pytest.raises(NoClosedFormError):
         closed_form_order(Family.HORSESHOE, 2)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_closed_form_follows_the_deck_size_policy(family):
+    for size, message in (
+        (7, "deck size must be even and >= 2, got 7"),
+        (0, "deck size must be even and >= 2, got 0"),
+        (65538, "deck size 65538 exceeds cap 65536"),
+    ):
+        with pytest.raises(ShuffleLabError) as info:
+            closed_form_order(family, size)
+        assert str(info.value) == message
 
 
 def test_closed_form_factored_strings_remultiply():
