@@ -5,11 +5,17 @@ in and out shuffles: faro and horseshoe act on the 2n deck positions,
 flip acts on 4n points through the oriented embedding so that the
 face-up bookkeeping stays inside the permutation.
 
-Orders are computed with a deterministic Schreier-Sims stabilizer
-chain: pick a base point, build the orbit with a transversal, make
-every Schreier generator sift to the identity through the rest of the
-chain, and multiply the orbit sizes.  All arithmetic is exact Python
-integers; the orders here overflow 64 bits already at twenty cards.
+Orders are computed with a certified Las Vegas Schreier-Sims
+stabilizer chain.  Random group elements, from a fixed seed, are sifted
+and their residues extend the chain until the product of its orbit
+sizes, a lower bound on the order, meets an upper bound from invariants
+the generators preserve: a block system {x, c(x)} of a commuting
+fixed-point-free involution c (the mirror pairs of faro, the two faces
+of a flip card), cut by the point and block signs, else the parity.
+Where the bound exceeds the order, every Schreier generator is sifted
+deterministically instead, so every order is exact.  All arithmetic is
+exact Python integers; the orders here overflow 64 bits already at
+twenty cards.
 Permutations inside the chain are plain image tuples, and the product
 ``_mul(p, q)`` applies p, then q; each product is one ``itemgetter``
 call, so the inner loops run at C speed.
@@ -24,12 +30,14 @@ closed forms of the order theorems are tabulated for verification runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import random
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .deck import Permutation, ShuffleLabError, _unchecked, check_deck_size
 from .shuffles import Family, element, family_in_out
@@ -95,11 +103,23 @@ def _common_degree(
 
 # -- stabilizer chain ---------------------------------------------------------
 
+#: Seed of the random phase's private generator, so that every build of one
+#: generating set gives the same base and strong generators.
+_RANDOM_SEED = 1
+#: Product-replacement steps taken before the first random element is used.
+_WARMUP_STEPS = 40
+#: Consecutive random elements that sift to the identity before the random
+#: phase gives up and the deterministic drain takes over.  An incomplete
+#: chain sifts only part of the group to the identity, so a run this long
+#: suggests that the bound exceeds the order; a wrong guess costs only time,
+#: as the drain completes any chain.
+_IDLE_SIFTS = 30
+
 
 def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p, then q.  Only called on the elements of a chain level, which
-    # move a point and so have degree >= 2: with one index itemgetter would
-    # return a bare int, with none it would raise.
+    # apply p, then q.  Only called on elements of a group with a chain
+    # level, which moves a point and so has degree >= 2: with one index
+    # itemgetter would return a bare int, with none it would raise.
     return itemgetter(*p)(q)
 
 
@@ -110,34 +130,190 @@ def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _is_odd(images: Sequence[int]) -> bool:
+    """Whether the permutation with these images is odd: m minus its cycle count."""
+    seen = [False] * len(images)
+    cycles = 0
+    for start in range(len(images)):
+        if not seen[start]:
+            cycles += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                p = images[p]
+    return (len(images) - cycles) % 2 == 1
+
+
+def _spread(
+    gens: Sequence[tuple[int, ...]], c: list[int], start: Sequence[int]
+) -> bool:
+    """Extend the partial map c (-1 where unset) by c(h(x)) = h(c(x)).
+
+    Every edge from a point where c is set is checked; False on a clash.
+    """
+    stack = list(start)
+    while stack:
+        x = stack.pop()
+        for h in gens:
+            a, b = h[x], h[c[x]]
+            if c[a] < 0:
+                c[a] = b
+                stack.append(a)
+            elif c[a] != b:
+                return False
+    return True
+
+
+def _block_involution(
+    gens: Sequence[tuple[int, ...]], degree: int
+) -> Optional[list[int]]:
+    """A fixed-point-free involution commuting with every generator, or None.
+
+    Such a c is fixed by c(0) = y on the orbit of 0 and, as c(y) = 0, on
+    the orbit of y, so each candidate y is spread along those orbits
+    until an edge clashes; it must reach every point.  Then c is an
+    involution, and it moves every point, as it moves 0.
+    """
+    for y in range(1, degree):
+        c = [-1] * degree
+        c[0], c[y] = y, 0
+        if _spread(gens, c, (0, y)) and -1 not in c:
+            return c
+    return None
+
+
+def _order_bound(gens: Sequence[tuple[int, ...]], degree: int) -> int:
+    """An upper bound on the order of the group the generators generate.
+
+    If a fixed-point-free involution c commutes with every generator,
+    the group lies in its centralizer, S_2 wr S_n on n = degree/2 blocks
+    {x, c(x)}, of order 2^n n!.  For n >= 2 that group has two
+    independent signs, on points and on blocks; the group lies in the
+    kernel of each of the four characters they generate that is trivial
+    on every generator, so the bound is divided by their number.
+    Otherwise the bound is degree!, halved when every generator is even.
+    """
+    c = _block_involution(gens, degree)
+    if c is None:
+        bound = math.factorial(degree)
+        if degree >= 2 and not any(map(_is_odd, gens)):
+            bound //= 2
+        return bound
+    n = degree // 2
+    bound = 2**n * math.factorial(n)
+    if n < 2:
+        return bound
+    reps = [x for x in range(degree) if x < c[x]]
+    block_of = [0] * degree
+    for k, x in enumerate(reps):
+        block_of[x] = block_of[c[x]] = k
+    signs = [(_is_odd(h), _is_odd([block_of[h[x]] for x in reps])) for h in gens]
+    # the characters 1, point sign, block sign and their product that are
+    # trivial on every generator: (a, b) picks the signs multiplied together
+    trivial = sum(
+        all((a and p) == (b and q) for p, q in signs)
+        for a in (False, True)
+        for b in (False, True)
+    )
+    return bound // trivial
+
+
+def _random_elements(
+    gens: Sequence[tuple[int, ...]], rng: random.Random
+) -> Iterator[tuple[int, ...]]:
+    """Random group elements by product replacement with an accumulator.
+
+    A list of at least ten elements starts as copies of the generators;
+    each step replaces a random one, s_i, by s_i s_j for another random
+    one, and multiplies the accumulator by the result (Celler et al.,
+    1995).  In a finite group s_j^-1 is a power of s_j, so the list
+    always generates the group.
+    """
+    slots = [gens[i % len(gens)] for i in range(max(10, 2 * len(gens)))]
+    x = slots[0]
+    for step in itertools.count():
+        i, j = rng.sample(range(len(slots)), 2)
+        slots[i] = _mul(slots[i], slots[j])
+        x = _mul(x, slots[i])
+        if step >= _WARMUP_STEPS:
+            yield x
+
+
 class _Level:
-    __slots__ = ("beta", "orbit_gens", "transversal", "inv_transversal", "pending")
+    __slots__ = (
+        "beta", "orbit_gens", "inv_gens", "transversal", "inv_transversal", "pending"
+    )
 
     def __init__(self, beta: int, identity: tuple[int, ...]):
         self.beta = beta
         self.orbit_gens: list[tuple[int, ...]] = []
+        self.inv_gens: list[tuple[int, ...]] = []
         self.transversal = {beta: identity}
         self.inv_transversal = {beta: identity}
         # Schreier pairs (a, j) still to process, in batches: every point of
         # the first sequence with every generator index of the second
         self.pending: deque[tuple[Sequence[int], Sequence[int]]] = deque()
 
+    def attach(self, g: tuple[int, ...], g_inv: tuple[int, ...]) -> None:
+        """Add g to the generators and close the orbit under them.
+
+        The old orbit is closed under the old generators, so only g is
+        applied to the old points, and every generator to the new ones.
+        """
+        index = len(self.orbit_gens)
+        self.orbit_gens.append(g)
+        self.inv_gens.append(g_inv)
+        old = list(self.transversal)
+        self.pending.append((old, (index,)))
+        queue = deque()
+        for a in old:
+            b = g[a]
+            if b not in self.transversal:
+                self.add_point(b, a, index)
+                queue.append(b)
+        while queue:
+            a = queue.popleft()
+            for j, h in enumerate(self.orbit_gens):
+                b = h[a]
+                if b not in self.transversal:
+                    self.add_point(b, a, j)
+                    queue.append(b)
+
+    def add_point(self, b: int, a: int, j: int) -> None:
+        """Reach b from a with generator j: u_b = u_a h, u_b^-1 = h^-1 u_a^-1."""
+        self.transversal[b] = _mul(self.transversal[a], self.orbit_gens[j])
+        self.inv_transversal[b] = _mul(self.inv_gens[j], self.inv_transversal[a])
+        self.pending.append(((b,), range(len(self.orbit_gens))))
+
 
 class StabilizerChain:
     """Base, transversals, and strong generators of a permutation group.
 
-    Built deterministically: base points are chosen in ascending point
-    order (the smallest point moved), transversals are stored as
-    elements, and every Schreier generator is sifted until the whole
-    chain closes.  The group order is the product of orbit sizes, and
-    an element belongs to the group iff it sifts to the identity.
+    Built as a certified Las Vegas chain (Seress, *Permutation Group
+    Algorithms*, 2003, sec. 4.3).  The sifted generators seed the chain,
+    with the Schreier generators of its first level; then random group
+    elements, from a privately seeded generator so that every build
+    repeats, are sifted and each residue is registered.  The orbit
+    sizes' product is a lower bound on the group order, as each level's
+    orbit lies in an orbit of the stabilizer of the earlier base points.  ``_order_bound`` gives an upper bound from invariants
+    the generators are checked to preserve.  When the two meet, the
+    order is proven and the chain complete; the random phase stops
+    there and its unprocessed Schreier pairs are dropped.  If the bound
+    is never met (it can exceed the order), the random phase stops after
+    ``_IDLE_SIFTS`` consecutive identity sifts and every Schreier pair
+    is sifted deterministically, as in the classical algorithm, so the
+    order is exact either way.  ``certified`` tells which path closed
+    the chain.
 
-    A generator introduced at level j fixes the first j base points, so
-    it also takes part in the orbits of every level above it; orbits
-    grow monotonically and transversal entries are never relabeled,
-    which lets each Schreier pair be processed exactly once.  Every
-    registered generator joins level 0, so level 0's generator list is
-    the strong generating set, in registration order.
+    Base points are the smallest point each new level's generator
+    moves.  A generator introduced at level j fixes the first j base
+    points, so it also takes part in the orbits of every level above it;
+    orbits grow monotonically and transversal entries are never
+    relabeled, which lets each Schreier pair be processed exactly once.
+    Every registered generator joins level 0, so level 0's generator
+    list is the strong generating set, in registration order.  The
+    group order is the product of orbit sizes, and an element belongs
+    to the group iff it sifts to the identity.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -149,58 +325,78 @@ class StabilizerChain:
             residue, depth = self._sift_tuple(g.images, 0)
             if residue is not None:
                 self._register(residue, depth)
-                self._drain()
+        if self._levels:
+            # The seed's level-0 Schreier generators are short words in the
+            # generators.  Registered before any random residue, they keep
+            # the deeper transversals short words too, and a product of a
+            # few generators then sifts through fewer levels (3% fewer on
+            # the chain-sift benchmark's queries than with random residues
+            # alone).  Only the batches the seed left are sifted here.
+            for _ in range(len(self._levels[0].pending)):
+                self._sift_batch(0)
+        images = [g.images for g in gens]
+        self._certified = self._random_phase(images, _order_bound(images, self.degree))
+        if self._certified:
+            for level in self._levels:
+                level.pending.clear()
+        else:
+            self._drain()
 
     # construction
+
+    def _random_phase(self, gens: list[tuple[int, ...]], bound: int) -> bool:
+        """Sift random elements until the order meets ``bound``: True if it did."""
+        if self.order == bound:
+            return True
+        if not self._levels:
+            return False
+        idle = 0
+        for x in _random_elements(gens, random.Random(_RANDOM_SEED)):
+            residue, depth = self._sift_tuple(x, 0)
+            if residue is None:
+                idle += 1
+                if idle == _IDLE_SIFTS:
+                    return False
+                continue
+            idle = 0
+            self._register(residue, depth)
+            if self.order == bound:
+                return True
 
     def _register(self, g: tuple[int, ...], j: int) -> None:
         """Introduce g at level j and attach it to levels 0..j."""
         if j == len(self._levels):
             beta = min(p for p in range(self.degree) if g[p] != p)
             self._levels.append(_Level(beta, self._identity))
+        g_inv = _inv(g)
         for i in range(j + 1):
-            self._attach(i, g)
-
-    def _attach(self, i: int, g: tuple[int, ...]) -> None:
-        level = self._levels[i]
-        index = len(level.orbit_gens)
-        level.orbit_gens.append(g)
-        level.pending.append((list(level.transversal), (index,)))
-        # close the orbit under the enlarged generator list
-        queue = deque(level.transversal)
-        while queue:
-            a = queue.popleft()
-            u_a = level.transversal[a]
-            for h in level.orbit_gens:
-                b = h[a]
-                if b not in level.transversal:
-                    u_b = _mul(u_a, h)
-                    level.transversal[b] = u_b
-                    level.inv_transversal[b] = _inv(u_b)
-                    level.pending.append(((b,), range(len(level.orbit_gens))))
-                    queue.append(b)
+            self._levels[i].attach(g, g_inv)
 
     def _drain(self) -> None:
         """Process Schreier pairs everywhere until the chain closes."""
         while True:
             dirty = False
             for i in range(len(self._levels)):
-                level = self._levels[i]
-                while level.pending:
+                while self._levels[i].pending:
                     dirty = True
-                    points, indices = level.pending.popleft()
-                    for a in points:
-                        for j in indices:
-                            h = level.orbit_gens[j]
-                            schreier = _mul(
-                                _mul(level.transversal[a], h),
-                                level.inv_transversal[h[a]],
-                            )
-                            residue, depth = self._sift_tuple(schreier, i + 1)
-                            if residue is not None:
-                                self._register(residue, depth)
+                    self._sift_batch(i)
             if not dirty:
                 return
+
+    def _sift_batch(self, i: int) -> None:
+        """Sift the Schreier generators of level i's oldest pending batch."""
+        level = self._levels[i]
+        points, indices = level.pending.popleft()
+        for a in points:
+            for j in indices:
+                h = level.orbit_gens[j]
+                schreier = _mul(
+                    _mul(level.transversal[a], h),
+                    level.inv_transversal[h[a]],
+                )
+                residue, depth = self._sift_tuple(schreier, i + 1)
+                if residue is not None:
+                    self._register(residue, depth)
 
     def _sift_tuple(
         self, g: tuple[int, ...], start: int
@@ -220,6 +416,11 @@ class StabilizerChain:
         return g, len(self._levels)
 
     # queries
+
+    @property
+    def certified(self) -> bool:
+        """True if the random phase met the invariant bound, False if drained."""
+        return self._certified
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -335,11 +536,19 @@ def tuple_transitivity_order(
 
 def permutation_parity(p: Permutation) -> Literal["even", "odd"]:
     """Parity of a permutation, from its cycle structure."""
-    transpositions = sum(len(c) - 1 for c in p.cycles())
-    return "even" if transpositions % 2 == 0 else "odd"
+    return "odd" if _is_odd(p.images) else "even"
 
 
 # -- order computations and theorem verification ------------------------------
+
+
+def _check_size_cap(size: int) -> None:
+    cap = size_cap()
+    if size > cap:
+        raise CapExceededError(
+            f"deck size {size} exceeds size cap {cap}"
+            " (set SHUFFLELAB_SIZE_CAP to raise it)"
+        )
 
 
 def group_order(family: Family, size: int) -> int:
@@ -348,12 +557,7 @@ def group_order(family: Family, size: int) -> int:
     Orders small enough for brute force are cross-checked against the
     enumeration oracle.
     """
-    cap = size_cap()
-    if size > cap:
-        raise CapExceededError(
-            f"deck size {size} exceeds size cap {cap}"
-            " (set SHUFFLELAB_SIZE_CAP to raise it)"
-        )
+    _check_size_cap(size)
     generators = family_generators(family, size)
     order = StabilizerChain(generators).order
     if order <= BRUTE_FORCE_LIMIT:
@@ -491,11 +695,15 @@ def verify_theorem(family: Family, sizes: Iterable[int]) -> list[GroupOrderRepor
     """Compare computed group orders against the closed forms, per size.
 
     Refusals (size caps, sizes with no closed-form case) become error
-    rows rather than aborting the run.
+    rows rather than aborting the run.  The deck size and the size cap
+    are checked before the closed form, whose factorial a refused size
+    need not pay for.
     """
     reports = []
     for size in sizes:
         try:
+            check_deck_size(size)
+            _check_size_cap(size)
             closed = closed_form_order(family, size)
             computed = group_order(family, size)
         except ShuffleLabError as exc:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import re
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shufflelab import groups
 from shufflelab.deck import Permutation, ShuffleLabError
 from shufflelab.groups import (
     CapExceededError,
@@ -23,6 +25,7 @@ from shufflelab.groups import (
     tuple_transitivity_order,
     verify_theorem,
 )
+from shufflelab.groups import _order_bound
 from shufflelab.shuffles import Family, Shuffle, Step, element, word_element
 
 
@@ -63,9 +66,16 @@ def test_chain_internal_consistency():
             assert gen in chain
 
 
-@pytest.mark.parametrize(
-    "family, size", [(Family.FARO, 12), (Family.FLIP, 6), (Family.HORSESHOE, 12)]
-)
+#: Per family, a deck size whose chain is drained and one whose chain is
+#: certified by the random phase.
+MEMBERSHIP_CASES = [
+    (Family.FARO, 12), (Family.FARO, 20),
+    (Family.FLIP, 6), (Family.FLIP, 10),
+    (Family.HORSESHOE, 12), (Family.HORSESHOE, 20),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("family, size", MEMBERSHIP_CASES)
 def test_chain_results_are_built_unchecked_and_valid(monkeypatch, family, size):
     gens = family_generators(family, size)
     chain = schreier_sims(gens)
@@ -145,21 +155,21 @@ def test_tuple_length_checked_without_generators():
 
 # -- membership of random words -----------------------------------------------
 
-#: Per family: a small deck size, and whether swapping points a and b of the
-#: m points splits a block of a block system the group preserves.  Faro
-#: commutes with the mirror p <-> 2n-1-p; flip keeps the two faces p and p+2n
-#: of one card together; horseshoe at n even lies in the alternating group,
-#: where no transposition does.
+#: Per family: whether swapping points a and b of the m points splits a
+#: block of a block system the group preserves.  Faro commutes with the
+#: mirror p <-> 2n-1-p; flip keeps the two faces p and p+2n of one card
+#: together; horseshoe at n even lies in the alternating group, where no
+#: transposition does.
 SPLITTING = {
-    Family.FARO: (12, lambda m, a, b: a != b and b != m - 1 - a),
-    Family.FLIP: (6, lambda m, a, b: a % (m // 2) != b % (m // 2)),
-    Family.HORSESHOE: (12, lambda m, a, b: a != b),
+    Family.FARO: lambda m, a, b: a != b and b != m - 1 - a,
+    Family.FLIP: lambda m, a, b: a % (m // 2) != b % (m // 2),
+    Family.HORSESHOE: lambda m, a, b: a != b,
 }
 
 
 @functools.cache
-def _chain_of(family):
-    gens = family_generators(family, SPLITTING[family][0])
+def _chain_of(family, size):
+    gens = family_generators(family, size)
     return gens, schreier_sims(gens)
 
 
@@ -171,12 +181,13 @@ def _transposition(m, a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from(list(SPLITTING)),
+    case=st.sampled_from(MEMBERSHIP_CASES),
     word=st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=24),
     points=st.tuples(st.integers(0, 47), st.integers(0, 47)),
 )
-def test_random_words_are_members_and_block_splits_are_not(family, word, points):
-    gens, chain = _chain_of(family)
+def test_random_words_are_members_and_block_splits_are_not(case, word, points):
+    family, size = case
+    gens, chain = _chain_of(family, size)
     m = chain.degree
     product = Permutation.identity(m)
     for index, inverted in word:
@@ -186,7 +197,7 @@ def test_random_words_are_members_and_block_splits_are_not(family, word, points)
     assert chain.sift(product).is_identity()
 
     a, b = points[0] % m, points[1] % m
-    splits = SPLITTING[family][1]
+    splits = SPLITTING[family]
     if not splits(m, a, b):
         b = next(q for q in range(m) if splits(m, a, q))
     outsider = product.then(_transposition(m, a, b))
@@ -220,6 +231,72 @@ def test_chain_matches_sympy_above_brute_force_limit():
             [combinatorics.Permutation(list(g.images)) for g in gens]
         )
         assert chain.order == external.order(), (family, size)
+
+
+# -- certified random phase ---------------------------------------------------
+
+#: Per family, the even sizes up to 100 (flip 50) at which the invariant bound
+#: exceeds the order, so the chain is drained: faro 12, 24 and 2^k, horseshoe
+#: 6, 12 and 2^k, and flip at half the faro sizes.  At 4 cards the 2^k groups
+#: meet the bound.
+EXCEPTIONAL = {
+    Family.FARO: {8, 12, 16, 24, 32, 64},
+    Family.HORSESHOE: {6, 8, 12, 16, 32, 64},
+    Family.FLIP: {4, 6, 8, 12, 16, 32},
+}
+#: Largest size per family of the chain and bound tests.
+CHAIN_TOP = {Family.FARO: 30, Family.HORSESHOE: 30, Family.FLIP: 16}
+BOUND_TOP = {Family.FARO: 100, Family.HORSESHOE: 100, Family.FLIP: 50}
+
+
+def _identity_elements(gens, rng):
+    return itertools.repeat(tuple(range(len(gens[0]))))
+
+
+@pytest.mark.parametrize("family", list(BOUND_TOP))
+def test_invariant_bound_meets_the_order_except_at_exceptional_sizes(family):
+    for size in range(4, BOUND_TOP[family] + 1, 2):
+        gens = [g.images for g in family_generators(family, size)]
+        bound = _order_bound(gens, len(gens[0]))
+        closed = closed_form_order(family, size).value
+        assert bound >= closed, (family, size)
+        assert (bound == closed) == (size not in EXCEPTIONAL[family]), (family, size)
+
+
+@pytest.mark.parametrize("family", list(CHAIN_TOP))
+def test_certified_chain_matches_the_drained_chain(monkeypatch, family):
+    for size in range(4, CHAIN_TOP[family] + 1, 2):
+        gens = family_generators(family, size)
+        chain = schreier_sims(gens)
+        chain.verify()
+        assert chain.certified == (size not in EXCEPTIONAL[family]), (family, size)
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "_random_elements", _identity_elements)
+            drained = schreier_sims(gens)
+        assert drained.order == chain.order == closed_form_order(family, size).value
+
+
+def test_chain_builds_repeat():
+    for family, size in ((Family.FLIP, 30), (Family.HORSESHOE, 36), (Family.FARO, 52)):
+        gens = family_generators(family, size)
+        first, second = schreier_sims(gens), schreier_sims(gens)
+        assert first.certified and second.certified
+        assert first.base == second.base
+        assert first.orbit_sizes() == second.orbit_sizes()
+        assert first.strong_generators() == second.strong_generators()
+
+
+@pytest.mark.parametrize(
+    "family, size", [(Family.FARO, 20), (Family.HORSESHOE, 14), (Family.FLIP, 10)]
+)
+def test_idle_random_phase_falls_back_to_the_drain(monkeypatch, family, size):
+    gens = family_generators(family, size)
+    assert schreier_sims(gens).certified
+    monkeypatch.setattr(groups, "_random_elements", _identity_elements)
+    chain = schreier_sims(gens)
+    assert not chain.certified
+    assert chain.order == closed_form_order(family, size).value
+    chain.verify()
 
 
 def test_brute_force_respects_limit():
@@ -278,9 +355,12 @@ def test_oracles_agree_with_the_chain_on_random_groups(images):
     # no closed form involved: three independent ways to count the group
     gens = [Permutation(tuple(g)) for g in images]
     m = gens[0].degree
-    order = schreier_sims(gens).order
+    chain = schreier_sims(gens)
+    chain.verify()
+    order = chain.order
     assert brute_force_order(gens) == order
     assert tuple_transitivity_order(gens, m) == order
+    assert _order_bound([tuple(g) for g in images], m) >= order
 
 
 # -- group orders -------------------------------------------------------------
@@ -409,6 +489,19 @@ def test_verify_propagates_refusals_per_entry():
     assert [r.error is not None for r in reports] == [True, False, True]
     assert reports[1].match
     assert not reports[0].match
+
+
+def test_verify_checks_the_cap_before_the_closed_form(monkeypatch):
+    closed_form = groups.closed_form_order
+
+    def capped_closed_form(family, size):
+        assert size <= size_cap(), f"closed form computed for refused size {size}"
+        return closed_form(family, size)
+
+    monkeypatch.setattr(groups, "closed_form_order", capped_closed_form)
+    reports = verify_theorem(Family.HORSESHOE, [12, 42, 65534])
+    assert [r.error is None for r in reports] == [True, False, False]
+    assert reports[2].error.startswith("deck size 65534 exceeds size cap 40")
 
 
 def test_report_rendering():
