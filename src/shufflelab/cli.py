@@ -63,12 +63,8 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     deck = Deck.parse(args.deck) if args.deck else Deck.identity(args.size)
     if deck.size != args.size:
         raise ShuffleLabError(f"--deck has size {deck.size}, --size says {args.size}")
-    result = apply_word(word, deck)
-    _emit(
-        args,
-        str(result),
-        {"size": args.size, "word": format_word(word), "deck": str(result)},
-    )
+    text = str(apply_word(word, deck))
+    _emit(args, text, {"size": args.size, "word": format_word(word), "deck": text})
     return 0
 
 

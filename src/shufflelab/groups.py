@@ -25,17 +25,20 @@ oracle for groups of modest order.  Its states are the image tuples of
 group elements, encoded as bytes (or as a str above 256 points) so that
 one generator step is one ``translate`` call; the group acts on them
 regularly, so the orbit of the identity has exactly |G| states.  The
-closed forms of the order theorems are tabulated for verification runs.
+search steps one whole level per generator in a single ``dict.update``
+call, fed at most one state past its cap, so a cap stops it exactly
+where a state-by-state search would stop.  The closed forms of the
+order theorems are tabulated for verification runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
@@ -117,9 +120,9 @@ _IDLE_SIFTS = 30
 
 
 def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p, then q.  Only called on elements of a group with a chain
-    # level, which moves a point and so has degree >= 2: with one index
-    # itemgetter would return a bare int, with none it would raise.
+    # apply p, then q.  Only called at degree >= 2 (a group with a chain
+    # level moves a point; ``_block_involution`` checks the degree): with
+    # one index itemgetter would return a bare int, with none it would raise.
     return itemgetter(*p)(q)
 
 
@@ -173,8 +176,28 @@ def _block_involution(
     the orbit of y, so each candidate y is spread along those orbits
     until an edge clashes; it must reach every point.  Then c is an
     involution, and it moves every point, as it moves 0.
+
+    A candidate y in the orbit of 0 is reached from 0 by the word u_y of
+    a breadth-first tree, and then c(y) = u_y(c(0)) = u_y(y) must be 0;
+    the candidates that fail this are skipped without a spread, which
+    would clash.  The tree costs one product per orbit point, so only
+    the candidates that pass pay for a spread along the orbits.
     """
+    if degree < 2:
+        return None
+    back = {0: 0}  # u_a(a) for every point a of the orbit of 0
+    words = deque([tuple(range(degree))])  # u_a, which sends 0 to a
+    while words:
+        u_a = words.popleft()
+        for h in gens:
+            b = h[u_a[0]]
+            if b not in back:
+                u_b = _mul(u_a, h)
+                back[b] = u_b[b]
+                words.append(u_b)
     for y in range(1, degree):
+        if back.get(y, 0) != 0:
+            continue
         c = [-1] * degree
         c[0], c[y] = y, 0
         if _spread(gens, c, (0, y)) and -1 not in c:
@@ -230,9 +253,14 @@ def _random_elements(
     always generates the group.
     """
     slots = [gens[i % len(gens)] for i in range(max(10, 2 * len(gens)))]
+    n = len(slots)
     x = slots[0]
-    for step in itertools.count():
-        i, j = rng.sample(range(len(slots)), 2)
+    for step in count():
+        # two distinct indices; the same draws as rng.sample(range(n), 2)
+        # for n <= 21 (up to ten generators), without its argument checks
+        i, j = rng.randrange(n), rng.randrange(n - 1)
+        if j == i:
+            j = n - 1
         slots[i] = _mul(slots[i], slots[j])
         x = _mul(x, slots[i])
         if step >= _WARMUP_STEPS:
@@ -476,8 +504,17 @@ def _orbit_size(
     A generator with image tuple g sends a state s to (g[s[0]], g[s[1]],
     ...).  States are bytes on at most 256 points, translated through a
     256-byte table, and str of ``chr(point)`` above that, translated
-    through the image tuple itself; either way one step is one C call
-    and the state's hash is cached.  More than ``cap`` states raises.
+    through the image tuple itself; either way the state's hash is
+    cached.  The search runs one breadth-first level at a time: per
+    generator, one ``seen.update`` call translates the whole frontier
+    and inserts the images in C.  A dict keeps insertion order and an
+    update of a present key does not move it, so the next frontier is
+    the keys the level appended, read from the dict's end.
+
+    More than ``cap`` states raises, where a cap below 1 counts as 1:
+    the start state alone never raises.  Each update gets at most
+    ``cap + 1 - len(seen)`` candidates, so the dict never holds more
+    than cap + 1 states and the check is as exact as one state at a time.
     """
     degree = len(images[0]) if images else 0
     if degree <= 256:
@@ -485,23 +522,26 @@ def _orbit_size(
         start: bytes | str = bytes(points)
     else:
         tables, start = images, "".join(map(chr, points))
+    translate = type(start).translate
     # A dict rather than a set: its compact table held the 322,560 states
     # of faro(14) at a peak about 14 MiB lower than a set did.
     seen = {start: None}
     frontier = [start]
+    most = max(cap, 1)
     while frontier:
-        fresh = []
-        for state in frontier:
-            for table in tables:
-                nxt = state.translate(table)
-                if nxt not in seen:
-                    seen[nxt] = None
-                    fresh.append(nxt)
-                    if len(seen) > cap:
-                        raise CapExceededError(
-                            f"orbit exceeded {cap} {what} during enumeration"
-                        )
-        frontier = fresh
+        before = len(seen)
+        for table in tables:
+            candidates = map(translate, frontier, repeat(table))
+            left = len(frontier)
+            while left > 0:  # repeats among a batch leave room for more
+                room = most + 1 - len(seen)
+                seen.update(zip(islice(candidates, room), repeat(None)))
+                if len(seen) > most:
+                    raise CapExceededError(
+                        f"orbit exceeded {cap} {what} during enumeration"
+                    )
+                left -= room
+        frontier = list(islice(reversed(seen), len(seen) - before))
     return len(seen)
 
 
@@ -513,8 +553,10 @@ def brute_force_order(
     A state is the image tuple of a group element, as bytes or str, and
     a generator step turns the element x into x followed by the
     generator.  This action is regular, so the orbit of the identity
-    has exactly |G| states.  Exceeding ``limit`` states raises instead
-    of returning a partial count.
+    has exactly |G| states.  The search steps a breadth-first level per
+    generator in one C call (see ``_orbit_size``).  Exceeding ``limit``
+    states raises instead of returning a partial count; the seen states
+    never number more than limit + 1.
     """
     m = _common_degree(generators)
     return _orbit_size([g.images for g in generators], range(m), limit, "states")

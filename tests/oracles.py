@@ -2,8 +2,11 @@
 
 Everything here works on plain (label, face_up) tuples and mimics the
 table procedures move by move, with no reference to the library's
-permutation machinery.
+permutation machinery.  ``orbit`` is a plain set-based breadth-first
+search for the group oracles.
 """
+
+from collections import deque
 
 
 def cut_interlace(cards, mode):
@@ -112,3 +115,22 @@ def repetition_order(step, start):
         state = step(state)
         count += 1
     return count
+
+
+def orbit(generators, points):
+    """Every state reachable from the tuple ``points``, one state at a time.
+
+    A generator, a sequence of images, sends a state s to (g[s[0]],
+    g[s[1]], ...).
+    """
+    start = tuple(points)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for g in generators:
+            nxt = tuple(map(g.__getitem__, state))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from shufflelab.cli import main
+from shufflelab.deck import Deck
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,21 @@ def test_apply_json(capsys):
     code, payload = run_json(capsys, "apply", "--size", "10", "--word", "flip-in")
     assert code == 0
     assert payload == {"size": 10, "word": "flip-in", "deck": text.strip()}
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_apply_formats_the_result_once(capsys, monkeypatch, json_flag):
+    calls = []
+    deck_str = Deck.__str__
+
+    def counted(deck):
+        calls.append(deck)
+        return deck_str(deck)
+
+    monkeypatch.setattr(Deck, "__str__", counted)
+    code, _, _ = run_cli(capsys, "apply", "--size", "10", "--word", "flip-in", *json_flag)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_order_json(capsys):

@@ -5,9 +5,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from shufflelab import groups
 from shufflelab.deck import Permutation, ShuffleLabError
 from shufflelab.groups import (
@@ -263,6 +264,23 @@ def test_invariant_bound_meets_the_order_except_at_exceptional_sizes(family):
         assert (bound == closed) == (size not in EXCEPTIONAL[family]), (family, size)
 
 
+def test_block_involution_skips_candidates_the_orbit_rules_out(monkeypatch):
+    # on a 1000-cycle only y = 500 has u_y(y) = 2y = 0 (mod 1000); spreading
+    # every candidate would take 500 spreads
+    spreads = []
+    spread = groups._spread
+
+    def counted(*args):
+        spreads.append(args)
+        return spread(*args)
+
+    monkeypatch.setattr(groups, "_spread", counted)
+    m = 1000
+    c = groups._block_involution([_cycle(m).images], m)
+    assert c == [(x + m // 2) % m for x in range(m)]
+    assert len(spreads) <= 2
+
+
 @pytest.mark.parametrize("family", list(CHAIN_TOP))
 def test_certified_chain_matches_the_drained_chain(monkeypatch, family):
     for size in range(4, CHAIN_TOP[family] + 1, 2):
@@ -303,6 +321,15 @@ def test_brute_force_respects_limit():
     gens = family_generators(Family.HORSESHOE, 10)  # order 10!
     with pytest.raises(CapExceededError):
         brute_force_order(gens, limit=1000)
+
+
+def test_a_cap_below_one_refuses_only_new_states():
+    # the start state alone is never refused, so the trivial group counts 1
+    for limit in (0, -2):
+        assert brute_force_order([Permutation.identity(3)], limit) == 1
+        assert tuple_transitivity_order([_cycle(3)], 0, node_cap=limit) == 1
+        with pytest.raises(CapExceededError, match=f"exceeded {limit} states"):
+            brute_force_order([_cycle(3)], limit)
 
 
 def _cycle(m):
@@ -361,6 +388,37 @@ def test_oracles_agree_with_the_chain_on_random_groups(images):
     assert brute_force_order(gens) == order
     assert tuple_transitivity_order(gens, m) == order
     assert _order_bound([tuple(g) for g in images], m) >= order
+
+
+@st.composite
+def generator_lists(draw):
+    """Image lists of degree 2-9, drawn with repeats from random ones and the identity."""
+    m = draw(st.integers(2, 9))
+    pool = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=2))
+    pool.append(list(range(m)))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_lists())
+def test_oracles_match_a_plain_search(images):
+    # the level-step kernel against one state at a time, every tuple length;
+    # S_9 and A_9 are left out, where the plain search takes seconds
+    gens = [Permutation(tuple(g)) for g in images]
+    assume(schreier_sims(gens).order <= 50_000)
+    m = gens[0].degree
+    sizes = [len(oracles.orbit(images, range(t))) for t in range(m + 1)]
+    assert [tuple_transitivity_order(gens, t) for t in range(m + 1)] == sizes
+    order = sizes[m]
+    assert brute_force_order(gens) == order
+    for limit in {1, order // 2, order - 1}:
+        if 0 < limit < order:
+            with pytest.raises(
+                CapExceededError,
+                match=f"^orbit exceeded {limit} states during enumeration$",
+            ):
+                brute_force_order(gens, limit)
+    assert brute_force_order(gens, order) == order
 
 
 # -- group orders -------------------------------------------------------------
