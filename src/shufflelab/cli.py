@@ -25,7 +25,7 @@ from .shuffles import (
     parse_word,
     route_top_to,
 )
-from .special import DiagramOp, card_name, generate, predict_from_ends
+from .special import DiagramOp, _check_k, card_name, generate, predict_from_ends
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -37,9 +37,12 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        sizes = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ShuffleLabError(f"bad size list {text!r}") from exc
+    if not sizes:
+        raise ShuffleLabError(f"no sizes in size list {text!r}")
+    return sizes
 
 
 def _parse_trick_card(token: str, k: int) -> int:
@@ -149,6 +152,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_trick(args: argparse.Namespace) -> int:
+    _check_k(args.k)  # before the cards' range, 1 << k, is computed
     left = _parse_trick_card(args.left, args.k)
     right = _parse_trick_card(args.right, args.k)
     ordering = predict_from_ends(args.k, left, right)

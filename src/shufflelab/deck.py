@@ -75,7 +75,7 @@ def parse_card(token: str) -> Card:
     """Parse a single card token: a decimal label, `~`-prefixed if face-up."""
     face_up = token.startswith("~")
     body = token[1:] if face_up else token
-    if not body.isdigit():
+    if not body.isdecimal():
         raise ShuffleLabError(f"bad card token {token!r}")
     return Card(int(body), face_up)
 

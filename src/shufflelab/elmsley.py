@@ -95,14 +95,13 @@ def _distances(size: int, neighbors, start: int) -> list[int]:
     return dist
 
 
-def shortest_words(
-    size: int, family: Family, source: int, target: int, max_words: int = MAX_WORDS
-) -> SolutionSet:
+def shortest_words(size: int, family: Family, source: int, target: int) -> SolutionSet:
     """Every minimal in/out word moving ``source`` to ``target``.
 
     Breadth-first distances from the source and to the target pick out
     exactly the edges lying on minimal paths; a depth-first walk along
     those edges (in before out) lists the words in lexicographic order.
+    More than ``MAX_WORDS`` words raise instead.
     """
     graph = PositionGraph.build(size, family)
     if not (0 <= source < size and 0 <= target < size):
@@ -131,9 +130,9 @@ def shortest_words(
         if depth == total:
             if p == target:
                 words.append(tuple(stack))
-                if len(words) > max_words:
+                if len(words) > MAX_WORDS:
                     raise ShuffleLabError(
-                        f"more than {max_words} minimal words; raise max_words"
+                        f"more than {MAX_WORDS} minimal words (cap elmsley.MAX_WORDS)"
                     )
             return
         for kind, q in (

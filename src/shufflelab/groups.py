@@ -12,10 +12,11 @@ sizes, a lower bound on the order, meets an upper bound from invariants
 the generators preserve: a block system {x, c(x)} of a commuting
 fixed-point-free involution c (the mirror pairs of faro, the two faces
 of a flip card), cut by the point and block signs, else the parity.
-Where the bound exceeds the order, every Schreier generator is sifted
-deterministically instead, so every order is exact.  All arithmetic is
-exact Python integers; the orders here overflow 64 bits already at
-twenty cards.
+Where the bound exceeds the order, the classical Schreier-Sims scan of
+every level's Schreier generators completes the chain instead, so every
+order is exact.  Each level keeps one table: the inverse coset
+representative of each orbit point.  All arithmetic is exact Python
+integers; the orders here overflow 64 bits already at twenty cards.
 Permutations inside the chain are plain image tuples, and the product
 ``_mul(p, q)`` applies p, then q; each product is one ``itemgetter``
 call, so the inner loops run at C speed.
@@ -112,10 +113,10 @@ _RANDOM_SEED = 1
 #: Product-replacement steps taken before the first random element is used.
 _WARMUP_STEPS = 40
 #: Consecutive random elements that sift to the identity before the random
-#: phase gives up and the deterministic drain takes over.  An incomplete
+#: phase gives up and the deterministic scan takes over.  An incomplete
 #: chain sifts only part of the group to the identity, so a run this long
 #: suggests that the bound exceeds the order; a wrong guess costs only time,
-#: as the drain completes any chain.
+#: as the scan completes any chain.
 _IDLE_SIFTS = 30
 
 
@@ -268,54 +269,53 @@ def _random_elements(
 
 
 class _Level:
-    __slots__ = (
-        "beta", "orbit_gens", "inv_gens", "transversal", "inv_transversal", "pending"
-    )
+    __slots__ = ("beta", "gens", "inv_gens", "coset")
 
     def __init__(self, beta: int, identity: tuple[int, ...]):
         self.beta = beta
-        self.orbit_gens: list[tuple[int, ...]] = []
+        self.gens: list[tuple[int, ...]] = []
         self.inv_gens: list[tuple[int, ...]] = []
-        self.transversal = {beta: identity}
-        self.inv_transversal = {beta: identity}
-        # Schreier pairs (a, j) still to process, in batches: every point of
-        # the first sequence with every generator index of the second
-        self.pending: deque[tuple[Sequence[int], Sequence[int]]] = deque()
+        # u_b^-1 for every orbit point b, where the coset representative
+        # u_b sends beta to b
+        self.coset = {beta: identity}
 
     def attach(self, g: tuple[int, ...], g_inv: tuple[int, ...]) -> None:
         """Add g to the generators and close the orbit under them.
 
         The old orbit is closed under the old generators, so only g is
         applied to the old points, and every generator to the new ones.
+        A generator h that reaches b from a gives u_b^-1 = h^-1 u_a^-1.
         """
-        index = len(self.orbit_gens)
-        self.orbit_gens.append(g)
+        self.gens.append(g)
         self.inv_gens.append(g_inv)
-        old = list(self.transversal)
-        self.pending.append((old, (index,)))
+        coset = self.coset
         queue = deque()
-        for a in old:
+        for a in list(coset):
             b = g[a]
-            if b not in self.transversal:
-                self.add_point(b, a, index)
+            if b not in coset:
+                coset[b] = _mul(g_inv, coset[a])
                 queue.append(b)
         while queue:
             a = queue.popleft()
-            for j, h in enumerate(self.orbit_gens):
+            for h, h_inv in zip(self.gens, self.inv_gens):
                 b = h[a]
-                if b not in self.transversal:
-                    self.add_point(b, a, j)
+                if b not in coset:
+                    coset[b] = _mul(h_inv, coset[a])
                     queue.append(b)
 
-    def add_point(self, b: int, a: int, j: int) -> None:
-        """Reach b from a with generator j: u_b = u_a h, u_b^-1 = h^-1 u_a^-1."""
-        self.transversal[b] = _mul(self.transversal[a], self.orbit_gens[j])
-        self.inv_transversal[b] = _mul(self.inv_gens[j], self.inv_transversal[a])
-        self.pending.append(((b,), range(len(self.orbit_gens))))
+    def schreier_generators(
+        self, points: Iterable[int], gens: Sequence[tuple[int, ...]]
+    ) -> Iterator[tuple[int, ...]]:
+        """u_a h u_{h(a)}^-1 for each point a, then each generator h."""
+        coset = self.coset
+        for a in points:
+            u_a = _inv(coset[a])
+            for h in gens:
+                yield _mul(_mul(u_a, h), coset[h[a]])
 
 
 class StabilizerChain:
-    """Base, transversals, and strong generators of a permutation group.
+    """Base, coset representatives, and strong generators of a permutation group.
 
     Built as a certified Las Vegas chain (Seress, *Permutation Group
     Algorithms*, 2003, sec. 4.3).  The sifted generators seed the chain,
@@ -323,25 +323,33 @@ class StabilizerChain:
     elements, from a privately seeded generator so that every build
     repeats, are sifted and each residue is registered.  The orbit
     sizes' product is a lower bound on the group order, as each level's
-    orbit lies in an orbit of the stabilizer of the earlier base points.  ``_order_bound`` gives an upper bound from invariants
-    the generators are checked to preserve.  When the two meet, the
-    order is proven and the chain complete; the random phase stops
-    there and its unprocessed Schreier pairs are dropped.  If the bound
+    orbit lies in an orbit of the stabilizer of the earlier base points.
+    ``_order_bound`` gives an upper bound from invariants the generators
+    are checked to preserve.  When the two meet, the order is proven
+    and the chain complete; the random phase stops there.  If the bound
     is never met (it can exceed the order), the random phase stops after
-    ``_IDLE_SIFTS`` consecutive identity sifts and every Schreier pair
-    is sifted deterministically, as in the classical algorithm, so the
-    order is exact either way.  ``certified`` tells which path closed
-    the chain.
+    ``_IDLE_SIFTS`` consecutive identity sifts and the classical
+    Schreier-Sims scan completes the chain (Holt, Eick & O'Brien,
+    *Handbook of CGT*, 2005, ch. 4), so the order is exact either way.
+    ``certified`` tells which path closed the chain.
+
+    The scan sifts the Schreier generators of each level, deepest level
+    first, through the levels below it.  A residue is registered at the
+    level where it stopped, and the scan resumes there: the levels below
+    that one did not change, and each is complete for the group its own
+    generators generate.  The chain is complete when level 0 passes.
+    ``verify`` runs the same scan and raises on any residue.
 
     Base points are the smallest point each new level's generator
     moves.  A generator introduced at level j fixes the first j base
     points, so it also takes part in the orbits of every level above it;
-    orbits grow monotonically and transversal entries are never
-    relabeled, which lets each Schreier pair be processed exactly once.
-    Every registered generator joins level 0, so level 0's generator
-    list is the strong generating set, in registration order.  The
-    group order is the product of orbit sizes, and an element belongs
-    to the group iff it sifts to the identity.
+    orbits grow monotonically and coset representatives are never
+    relabeled.  Each level keeps only the inverse representatives, the
+    factors that sifting strips.  Every registered generator joins
+    level 0, so level 0's generator list is the strong generating set,
+    in registration order.  The group order is the product of orbit
+    sizes, and an element belongs to the group iff it sifts to the
+    identity.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -356,19 +364,21 @@ class StabilizerChain:
         if self._levels:
             # The seed's level-0 Schreier generators are short words in the
             # generators.  Registered before any random residue, they keep
-            # the deeper transversals short words too, and a product of a
-            # few generators then sifts through fewer levels (3% fewer on
-            # the chain-sift benchmark's queries than with random residues
-            # alone).  Only the batches the seed left are sifted here.
-            for _ in range(len(self._levels[0].pending)):
-                self._sift_batch(0)
+            # the deeper coset representatives short words too, and a
+            # product of a few generators then sifts through fewer levels
+            # (3% fewer on the chain-sift benchmark's queries than with
+            # random residues alone).  Only the points and generators the
+            # seed left are used: both are taken before the first sift.
+            level = self._levels[0]
+            seeded = level.schreier_generators(list(level.coset), list(level.gens))
+            for schreier in seeded:
+                residue, depth = self._sift_tuple(schreier, 1)
+                if residue is not None:
+                    self._register(residue, depth)
         images = [g.images for g in gens]
         self._certified = self._random_phase(images, _order_bound(images, self.degree))
-        if self._certified:
-            for level in self._levels:
-                level.pending.clear()
-        else:
-            self._drain()
+        if not self._certified:
+            self._scan(complete=True)
 
     # construction
 
@@ -400,42 +410,39 @@ class StabilizerChain:
         for i in range(j + 1):
             self._levels[i].attach(g, g_inv)
 
-    def _drain(self) -> None:
-        """Process Schreier pairs everywhere until the chain closes."""
-        while True:
-            dirty = False
-            for i in range(len(self._levels)):
-                while self._levels[i].pending:
-                    dirty = True
-                    self._sift_batch(i)
-            if not dirty:
-                return
+    def _scan(self, complete: bool) -> None:
+        """Sift every Schreier generator, the deepest level first.
 
-    def _sift_batch(self, i: int) -> None:
-        """Sift the Schreier generators of level i's oldest pending batch."""
-        level = self._levels[i]
-        points, indices = level.pending.popleft()
-        for a in points:
-            for j in indices:
-                h = level.orbit_gens[j]
-                schreier = _mul(
-                    _mul(level.transversal[a], h),
-                    level.inv_transversal[h[a]],
-                )
+        At the first residue, register it and resume at its level if
+        ``complete``, else raise.
+        """
+        i = len(self._levels) - 1
+        while i >= 0:
+            level = self._levels[i]
+            # the scan stops at the first residue, before it is registered
+            # and the level's tables change
+            for schreier in level.schreier_generators(level.coset, level.gens):
                 residue, depth = self._sift_tuple(schreier, i + 1)
                 if residue is not None:
-                    self._register(residue, depth)
+                    break
+            else:
+                i -= 1
+                continue
+            if not complete:
+                raise ShuffleLabError("stabilizer chain failed verification")
+            self._register(residue, depth)
+            i = depth
 
     def _sift_tuple(
         self, g: tuple[int, ...], start: int
     ) -> tuple[Optional[tuple[int, ...]], int]:
-        """Strip transversal factors; (None, -1) means membership."""
+        """Strip coset representatives; (None, -1) means membership."""
         for idx in range(start, len(self._levels)):
             level = self._levels[idx]
             image = g[level.beta]
             if image == level.beta:
-                continue  # the transversal factor is the identity
-            u_inv = level.inv_transversal.get(image)
+                continue  # the coset representative is the identity
+            u_inv = level.coset.get(image)
             if u_inv is None:
                 return g, idx
             g = _mul(g, u_inv)
@@ -447,7 +454,7 @@ class StabilizerChain:
 
     @property
     def certified(self) -> bool:
-        """True if the random phase met the invariant bound, False if drained."""
+        """True if the random phase met the invariant bound, False if scanned."""
         return self._certified
 
     @property
@@ -456,17 +463,17 @@ class StabilizerChain:
 
     @property
     def order(self) -> int:
-        return math.prod(len(level.transversal) for level in self._levels)
+        return math.prod(len(level.coset) for level in self._levels)
 
     def orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(len(level.transversal) for level in self._levels)
+        return tuple(len(level.coset) for level in self._levels)
 
     def strong_generators(self) -> list[Permutation]:
-        gens = self._levels[0].orbit_gens if self._levels else []
+        gens = self._levels[0].gens if self._levels else []
         return [_unchecked(Permutation, g) for g in gens]
 
     def sift(self, p: Permutation) -> Permutation:
-        """The residue after stripping transversal factors level by level."""
+        """The residue after stripping coset representatives level by level."""
         if p.degree != self.degree:
             raise ShuffleLabError("degree mismatch")
         residue, _ = self._sift_tuple(p.images, 0)
@@ -477,13 +484,7 @@ class StabilizerChain:
 
     def verify(self) -> None:
         """Recheck that every Schreier generator sifts to the identity."""
-        for i, level in enumerate(self._levels):
-            for a, u_a in level.transversal.items():
-                for h in level.orbit_gens:
-                    schreier = _mul(_mul(u_a, h), level.inv_transversal[h[a]])
-                    residue, _ = self._sift_tuple(schreier, i + 1)
-                    if residue is not None:
-                        raise ShuffleLabError("stabilizer chain failed verification")
+        self._scan(complete=False)
 
 
 def schreier_sims(

@@ -82,7 +82,7 @@ class DiagramOp:
         text = token.strip().lower()
         if text == "complement":
             return cls.complement()
-        if text.startswith("bit") and text[3:].isdigit():
+        if text.startswith("bit") and text[3:].isdecimal():
             return cls.flip_bit(int(text[3:]))
         raise ShuffleLabError(f"unknown diagram operation {token!r}")
 

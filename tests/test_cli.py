@@ -327,3 +327,40 @@ def test_bad_size_cap_env_var_is_an_error_line(monkeypatch):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: SHUFFLELAB_SIZE_CAP must be an integer >= 2, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("apply", "--size", "2", "--word", "faro-out", "--deck", "² 0"),
+            "error: bad card token '²'\n",
+        ),
+        (
+            ("diagram", "--k", "3", "--first", "0", "--start", "bit²"),
+            "error: unknown diagram operation 'bit²'\n",
+        ),
+        (
+            ("trick", "--k", "-1", "--left", "1", "--right", "2"),
+            "error: k must be in 1..16, got -1\n",
+        ),
+        (
+            ("trick", "--k", "99999999999", "--left", "1", "--right", "2"),
+            "error: k must be in 1..16, got 99999999999\n",
+        ),
+        (
+            ("verify", "--family", "faro", "--sizes", ","),
+            "error: no sizes in size list ','\n",
+        ),
+        (
+            ("verify", "--family", "faro", "--sizes", " "),
+            "error: no sizes in size list ' '\n",
+        ),
+    ],
+    ids=["superscript-card", "superscript-bit", "negative-k", "huge-k", "comma", "blank"],
+)
+def test_bad_tokens_and_empty_lists_are_error_lines(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == message

@@ -238,3 +238,12 @@ def test_deck_parse_exact_grammar():
     for bad in ("", "0  1 2 3", "0,1,2,3", "0 1 2 x", "~~0 1"):
         with pytest.raises(ShuffleLabError):
             Deck.parse(bad)
+
+
+@pytest.mark.parametrize("token", ["²", "~²", "1²"])
+def test_card_tokens_take_only_decimal_digits(token):
+    # str.isdigit() accepts superscripts, which int() refuses
+    with pytest.raises(ShuffleLabError, match="bad card token"):
+        Deck.parse(f"{token} 0")
+    # the decimal digits of other scripts are what int() accepts
+    assert Deck.parse("١ ~٠") == Deck.parse("1 ~0")

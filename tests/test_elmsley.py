@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from shufflelab import elmsley
 from shufflelab.deck import MAX_DECK_SIZE, Deck, ShuffleLabError
 from shufflelab.elmsley import (
     PositionGraph,
@@ -175,3 +176,13 @@ def test_second_position_cycle_rejects_non_powers():
     for size in (2, 6, 10, 12):
         with pytest.raises(ShuffleLabError):
             second_position_cycle(size)
+
+
+def test_more_minimal_words_than_the_cap_are_refused(monkeypatch):
+    assert len(shortest_words(10, Family.HORSESHOE, 2, 0).words) == 2
+    monkeypatch.setattr(elmsley, "MAX_WORDS", 1)
+    with pytest.raises(
+        ShuffleLabError, match=r"^more than 1 minimal words \(cap elmsley.MAX_WORDS\)$"
+    ):
+        shortest_words(10, Family.HORSESHOE, 2, 0)
+    assert len(shortest_words(10, Family.HORSESHOE, 4, 0).words) == 1

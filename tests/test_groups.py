@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -315,6 +316,69 @@ def test_idle_random_phase_falls_back_to_the_drain(monkeypatch, family, size):
     assert not chain.certified
     assert chain.order == closed_form_order(family, size).value
     chain.verify()
+
+
+@pytest.mark.parametrize(
+    "family, size", [(Family.FARO, 20), (Family.HORSESHOE, 14), (Family.FLIP, 10)]
+)
+def test_verify_rejects_the_chain_the_seed_leaves(monkeypatch, family, size):
+    # identity random elements and no completion leave the seeded chain,
+    # whose order is below the group's; verify runs the completion's scan
+    scan = StabilizerChain._scan
+
+    def verify_only(chain, complete):
+        if not complete:
+            scan(chain, complete)
+
+    monkeypatch.setattr(groups, "_random_elements", _identity_elements)
+    monkeypatch.setattr(StabilizerChain, "_scan", verify_only)
+    chain = schreier_sims(family_generators(family, size))
+    assert not chain.certified
+    assert chain.order < closed_form_order(family, size).value
+    with pytest.raises(ShuffleLabError, match="^stabilizer chain failed verification$"):
+        chain.verify()
+
+
+#: Generating sets on which a completion scan that resumes at the wrong level
+#: after a residue (the level being scanned, or the one above the residue's)
+#: stops short of the group; found by a search over random sets of degree 3-8.
+BARE_SCAN_CASES = [
+    [(3, 2, 1, 0, 4, 5), (1, 3, 2, 0, 5, 4)],
+    [(5, 0, 2, 6, 1, 4, 3), (5, 0, 6, 2, 1, 4, 3)],
+    [(0, 3, 2, 4, 1), (3, 1, 4, 2, 0)],
+    [(6, 7, 0, 5, 4, 3, 2, 1), (0, 1, 6, 5, 4, 7, 2, 3)],
+]
+
+
+@pytest.mark.parametrize("images", BARE_SCAN_CASES)
+def test_the_scan_alone_completes_a_bare_chain(images):
+    # the classical algorithm, without the seed pass or the random phase:
+    # every generator at level 0 only, then the completion scan
+    chain = StabilizerChain([], degree=len(images[0]))
+    for g in images:
+        chain._register(g, 0)
+    chain._scan(complete=True)
+    chain.verify()
+    assert chain.order == brute_force_order([Permutation(g) for g in images])
+
+
+#: SHA-256 over base, orbit sizes, strong generators and ``certified`` of the
+#: chains of CHAIN_SHAPE_CASES.  Equal orders do not imply equal chains: this
+#: pins the registration order of the seed, random and completion phases.
+CHAIN_SHAPE_CASES = [
+    (family, size) for family in CHAIN_TOP for size in range(4, 31, 2)
+] + [(Family.HORSESHOE, 36), (Family.FARO, 52)]
+CHAIN_SHAPE_DIGEST = "3c1c8006cda354ac35c1b42b3ee70602cd2da87fd86740291d39d466f4bf6552"
+
+
+def test_chain_shapes_are_pinned():
+    digest = hashlib.sha256()
+    for family, size in CHAIN_SHAPE_CASES:
+        chain = schreier_sims(family_generators(family, size))
+        strong = [g.images for g in chain.strong_generators()]
+        shape = (chain.base, chain.orbit_sizes(), strong, chain.certified)
+        digest.update(repr(shape).encode())
+    assert digest.hexdigest() == CHAIN_SHAPE_DIGEST
 
 
 def test_brute_force_respects_limit():

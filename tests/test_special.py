@@ -283,3 +283,9 @@ def test_card_names():
     assert card_name(1, 3) == "A"
     assert card_name(5, 3) == "5"
     assert card_name(0, 4) == "16"
+
+
+@pytest.mark.parametrize("token", ["bit²", "bit1²"])
+def test_op_parsing_takes_only_decimal_digits(token):
+    with pytest.raises(ShuffleLabError, match="unknown diagram operation"):
+        DiagramOp.parse(token)
