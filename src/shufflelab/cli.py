@@ -25,7 +25,7 @@ from .shuffles import (
     parse_word,
     route_top_to,
 )
-from .special import DiagramOp, _check_k, card_name, generate, predict_from_ends
+from .special import DiagramOp, card_name, card_value, generate, predict_from_ends
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -43,22 +43,6 @@ def _parse_sizes(text: str) -> list[int]:
     if not sizes:
         raise ShuffleLabError(f"no sizes in size list {text!r}")
     return sizes
-
-
-def _parse_trick_card(token: str, k: int) -> int:
-    text = token.strip().upper()
-    if text == "A":
-        value = 1
-    else:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise ShuffleLabError(f"bad card {token!r}") from exc
-    if value == 1 << k:
-        value = 0
-    if not 0 <= value < 1 << k:
-        raise ShuffleLabError(f"card {token!r} out of range for k={k}")
-    return value
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
@@ -152,9 +136,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_trick(args: argparse.Namespace) -> int:
-    _check_k(args.k)  # before the cards' range, 1 << k, is computed
-    left = _parse_trick_card(args.left, args.k)
-    right = _parse_trick_card(args.right, args.k)
+    left = card_value(args.left, args.k)
+    right = card_value(args.right, args.k)
     ordering = predict_from_ends(args.k, left, right)
     payload = {
         **ordering.to_dict(),

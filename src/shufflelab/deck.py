@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import xor
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 #: Hard upper bound on deck sizes; everything in scope is desk scale.
 MAX_DECK_SIZE = 1 << 16
@@ -137,6 +137,32 @@ class Deck:
         return self.cards[i]
 
 
+def _inverse(images: Sequence[int]) -> tuple[int, ...]:
+    """The images of the inverse of the permutation with these images."""
+    inv = [0] * len(images)
+    for p, x in enumerate(images):
+        inv[x] = p
+    return tuple(inv)
+
+
+def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cycle decomposition of the permutation with these images, 1-cycles included."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        p = images[start]
+        while p != start:
+            seen[p] = True
+            cycle.append(p)
+            p = images[p]
+        out.append(tuple(cycle))
+    return out
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection on 0..m-1; ``images[p]`` is where position p's card goes."""
@@ -168,30 +194,14 @@ class Permutation:
         return _unchecked(Permutation, images)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for p, x in enumerate(self.images):
-            inv[x] = p
-        return _unchecked(Permutation, tuple(inv))
+        return _unchecked(Permutation, _inverse(self.images))
 
     def is_identity(self) -> bool:
         return all(p == x for p, x in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, fixed points included as 1-cycles."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            p = self.images[start]
-            while p != start:
-                seen[p] = True
-                cycle.append(p)
-                p = self.images[p]
-            out.append(tuple(cycle))
-        return out
+        return _cycles(self.images)
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles())) if self.degree else 1

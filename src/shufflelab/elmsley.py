@@ -2,10 +2,12 @@
 
 A single card's trajectory under in and out shuffles only depends on
 its position, so each family induces a little directed graph on the
-positions with out-degree two.  Breadth-first search over that graph
-answers the classic question of moving the card at position i to the
-top (or anywhere else) in as few shuffles as possible, and a
-predecessor-DAG unwind enumerates *all* minimal words, not just one.
+positions with out-degree two.  One breadth-first search backwards
+from the target, along the inverse shuffles, gives every position's
+distance to it; that answers the classic question of moving the card
+at position i to the top (or anywhere else) in as few shuffles as
+possible, and a depth-first walk down those distances enumerates *all*
+minimal words, not just one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .deck import ShuffleLabError
+from .deck import ShuffleLabError, _inverse
 from .shuffles import (
     Family,
     Shuffle,
@@ -82,26 +84,15 @@ class SolutionSet:
         }
 
 
-def _distances(size: int, neighbors, start: int) -> list[int]:
-    dist = [-1] * size
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        p = queue.popleft()
-        for q in neighbors(p):
-            if dist[q] < 0:
-                dist[q] = dist[p] + 1
-                queue.append(q)
-    return dist
-
-
 def shortest_words(size: int, family: Family, source: int, target: int) -> SolutionSet:
     """Every minimal in/out word moving ``source`` to ``target``.
 
-    Breadth-first distances from the source and to the target pick out
-    exactly the edges lying on minimal paths; a depth-first walk along
-    those edges (in before out) lists the words in lexicographic order.
-    More than ``MAX_WORDS`` words raise instead.
+    One breadth-first search from the target along the inverse in and
+    out shuffles gives each position's distance to the target, the
+    source's being the minimal length.  A step lies on a minimal word
+    exactly when it lowers that distance by one, so a depth-first walk
+    from the source along such steps (in before out) lists the words
+    in lexicographic order.  More than ``MAX_WORDS`` words raise instead.
     """
     graph = PositionGraph.build(size, family)
     if not (0 <= source < size and 0 <= target < size):
@@ -109,15 +100,17 @@ def shortest_words(size: int, family: Family, source: int, target: int) -> Solut
             f"positions must lie in 0..{size - 1}, got {source}, {target}"
         )
     in_kind, out_kind = family_in_out(family)
-    forward = _distances(
-        size, lambda p: (graph.in_images[p], graph.out_images[p]), source
-    )
-    preds: list[list[int]] = [[] for _ in range(size)]
-    for p in range(size):
-        preds[graph.in_images[p]].append(p)
-        preds[graph.out_images[p]].append(p)
-    backward = _distances(size, lambda p: preds[p], target)
-    total = forward[target]
+    in_back, out_back = _inverse(graph.in_images), _inverse(graph.out_images)
+    backward = [-1] * size
+    backward[target] = 0
+    queue = deque([target])
+    while queue:
+        q = queue.popleft()
+        for p in (in_back[q], out_back[q]):
+            if backward[p] < 0:
+                backward[p] = backward[q] + 1
+                queue.append(p)
+    total = backward[source]
     if total < 0:
         raise UnreachableError(
             f"position {target} unreachable from {source} at size {size}"

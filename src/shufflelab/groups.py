@@ -43,7 +43,14 @@ from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
-from .deck import Permutation, ShuffleLabError, _unchecked, check_deck_size
+from .deck import (
+    Permutation,
+    ShuffleLabError,
+    _cycles,
+    _inverse,
+    _unchecked,
+    check_deck_size,
+)
 from .shuffles import Family, element, family_in_out
 
 #: Deck-size cap for chain computations, overridable via SHUFFLELAB_SIZE_CAP.
@@ -127,25 +134,9 @@ def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return itemgetter(*p)(q)
 
 
-def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def _is_odd(images: Sequence[int]) -> bool:
     """Whether the permutation with these images is odd: m minus its cycle count."""
-    seen = [False] * len(images)
-    cycles = 0
-    for start in range(len(images)):
-        if not seen[start]:
-            cycles += 1
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                p = images[p]
-    return (len(images) - cycles) % 2 == 1
+    return (len(images) - len(_cycles(images))) % 2 == 1
 
 
 def _spread(
@@ -178,26 +169,22 @@ def _block_involution(
     until an edge clashes; it must reach every point.  Then c is an
     involution, and it moves every point, as it moves 0.
 
-    A candidate y in the orbit of 0 is reached from 0 by the word u_y of
-    a breadth-first tree, and then c(y) = u_y(c(0)) = u_y(y) must be 0;
+    A candidate y in the orbit of 0 is reached from 0 by some group
+    element u_y, and then c(y) = u_y(c(0)) = u_y(y) must be 0, whichever
+    u_y is taken.  The orbit table of a chain level with base point 0
+    holds u_y^-1 for every such y, so u_y(y) = 0 reads u_y^-1(0) = y;
     the candidates that fail this are skipped without a spread, which
-    would clash.  The tree costs one product per orbit point, so only
+    would clash.  The table costs one product per orbit point, so only
     the candidates that pass pay for a spread along the orbits.
     """
     if degree < 2:
         return None
-    back = {0: 0}  # u_a(a) for every point a of the orbit of 0
-    words = deque([tuple(range(degree))])  # u_a, which sends 0 to a
-    while words:
-        u_a = words.popleft()
-        for h in gens:
-            b = h[u_a[0]]
-            if b not in back:
-                u_b = _mul(u_a, h)
-                back[b] = u_b[b]
-                words.append(u_b)
+    orbit = _Level(0, tuple(range(degree)))
+    for h in gens:
+        orbit.attach(h, _inverse(h))
+    coset = orbit.coset
     for y in range(1, degree):
-        if back.get(y, 0) != 0:
+        if y in coset and coset[y][0] != y:
             continue
         c = [-1] * degree
         c[0], c[y] = y, 0
@@ -309,7 +296,7 @@ class _Level:
         """u_a h u_{h(a)}^-1 for each point a, then each generator h."""
         coset = self.coset
         for a in points:
-            u_a = _inv(coset[a])
+            u_a = _inverse(coset[a])
             for h in gens:
                 yield _mul(_mul(u_a, h), coset[h[a]])
 
@@ -358,9 +345,7 @@ class StabilizerChain:
         self._identity = tuple(range(self.degree))
         self._levels: list[_Level] = []
         for g in gens:
-            residue, depth = self._sift_tuple(g.images, 0)
-            if residue is not None:
-                self._register(residue, depth)
+            self._extend(g.images, 0)
         if self._levels:
             # The seed's level-0 Schreier generators are short words in the
             # generators.  Registered before any random residue, they keep
@@ -372,9 +357,7 @@ class StabilizerChain:
             level = self._levels[0]
             seeded = level.schreier_generators(list(level.coset), list(level.gens))
             for schreier in seeded:
-                residue, depth = self._sift_tuple(schreier, 1)
-                if residue is not None:
-                    self._register(residue, depth)
+                self._extend(schreier, 1)
         images = [g.images for g in gens]
         self._certified = self._random_phase(images, _order_bound(images, self.degree))
         if not self._certified:
@@ -390,23 +373,29 @@ class StabilizerChain:
             return False
         idle = 0
         for x in _random_elements(gens, random.Random(_RANDOM_SEED)):
-            residue, depth = self._sift_tuple(x, 0)
-            if residue is None:
+            if not self._extend(x, 0):
                 idle += 1
                 if idle == _IDLE_SIFTS:
                     return False
                 continue
             idle = 0
-            self._register(residue, depth)
             if self.order == bound:
                 return True
+
+    def _extend(self, g: tuple[int, ...], start: int) -> bool:
+        """Sift g from level ``start`` and register its residue: True if any."""
+        residue, depth = self._sift_tuple(g, start)
+        if residue is None:
+            return False
+        self._register(residue, depth)
+        return True
 
     def _register(self, g: tuple[int, ...], j: int) -> None:
         """Introduce g at level j and attach it to levels 0..j."""
         if j == len(self._levels):
             beta = min(p for p in range(self.degree) if g[p] != p)
             self._levels.append(_Level(beta, self._identity))
-        g_inv = _inv(g)
+        g_inv = _inverse(g)
         for i in range(j + 1):
             self._levels[i].attach(g, g_inv)
 

@@ -206,6 +206,28 @@ def card_name(value: int, k: int) -> str:
     return str(value)
 
 
+def card_value(token: str, k: int) -> int:
+    """The value of a trick card name, inverting ``card_name``.
+
+    The ace A is 1 and the deck-size card 2^k is 0.  k is checked first,
+    before the cards' range, 1 << k, is computed.
+    """
+    _check_k(k)
+    text = token.strip().upper()
+    if text == "A":
+        value = 1
+    else:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise ShuffleLabError(f"bad card {token!r}") from exc
+    if value == 1 << k:
+        value = 0
+    if not 0 <= value < 1 << k:
+        raise ShuffleLabError(f"card {token!r} out of range for k={k}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrickTranscript:
     """Record of one outside-in performance: reveals, then the ordering."""

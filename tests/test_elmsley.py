@@ -15,6 +15,7 @@ from shufflelab.shuffles import (
     Shuffle,
     apply_word,
     element,
+    family_in_out,
     inout_text,
     parse_word,
 )
@@ -186,3 +187,41 @@ def test_more_minimal_words_than_the_cap_are_refused(monkeypatch):
     ):
         shortest_words(10, Family.HORSESHOE, 2, 0)
     assert len(shortest_words(10, Family.HORSESHOE, 4, 0).words) == 1
+
+
+@pytest.mark.parametrize("family", [Family.FARO, Family.HORSESHOE])
+def test_minimal_words_match_exhaustive_enumeration(family):
+    # words enumerated by increasing length over position tables dealt
+    # physically, one step per letter; 0 is in and 1 is out, so extending
+    # each word by in, then out, keeps every length in lexicographic order
+    prefix = "faro" if family is Family.FARO else "horse"
+    out_kind = family_in_out(family)[1]
+    for size in range(2, 22, 2):
+        tables = [
+            [oracles.card_position(size, f"{prefix}-{mode}", p) for p in range(size)]
+            for mode in ("in", "out")
+        ]
+        for source in range(size):
+            minimal = {}
+            level = [((), source)]
+            for length in range(size):
+                for word, p in level:
+                    minimal.setdefault(p, (length, []))
+                    if minimal[p][0] == length:
+                        minimal[p][1].append(word)
+                if len(minimal) == size:
+                    break
+                level = [
+                    (word + (letter,), tables[letter][p])
+                    for word, p in level
+                    for letter in (0, 1)
+                ]
+            assert len(minimal) == size
+            for target, (length, words) in minimal.items():
+                solutions = shortest_words(size, family, source, target)
+                assert solutions.length == length
+                found = [
+                    tuple(int(step.shuffle is out_kind) for step in word)
+                    for word in solutions.words
+                ]
+                assert found == words

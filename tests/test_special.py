@@ -12,6 +12,7 @@ from shufflelab.special import (
     DiagramOp,
     InvalidEndsError,
     card_name,
+    card_value,
     diagram_cycle,
     generate,
     predict_from_ends,
@@ -289,3 +290,16 @@ def test_card_names():
 def test_op_parsing_takes_only_decimal_digits(token):
     with pytest.raises(ShuffleLabError, match="unknown diagram operation"):
         DiagramOp.parse(token)
+
+
+def test_card_value_inverts_card_name():
+    for k in range(1, 7):
+        for value in range(1 << k):
+            assert card_value(card_name(value, k), k) == value
+    assert card_value("a", 3) == 1
+    with pytest.raises(ShuffleLabError, match=r"^bad card 'x'$"):
+        card_value("x", 3)
+    with pytest.raises(ShuffleLabError, match=r"^card '9' out of range for k=3$"):
+        card_value("9", 3)
+    with pytest.raises(ShuffleLabError, match=r"^k must be in 1\.\.16, got 0$"):
+        card_value("A", 0)
