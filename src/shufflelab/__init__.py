@@ -17,6 +17,7 @@ from .deck import (
     apply_oriented,
     contract_staystack,
     expand_staystack,
+    is_staystack,
 )
 from .elmsley import (
     PositionGraph,
@@ -50,7 +51,6 @@ from .shuffles import (
     format_word,
     horseshoe_position_step,
     inout_text,
-    is_staystack,
     parse_word,
     route_top_to,
     word_element,

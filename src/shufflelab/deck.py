@@ -14,12 +14,13 @@ positions j and 4n-1-j always hold the two faces of one card: card
 (label, face) becomes point label + 2n*face, and point x pairs with
 (x + 2n) mod 4n.
 
-Checking policy: the public constructors ``Deck(...)``, ``Deck.parse``,
-``Permutation(...)`` and ``OrientedPermutation(...)`` check their
-arguments, and ``check_deck_size`` guards every entry point that takes a
-size.  Values derived from already-checked values (products, inverses,
-identities, moved decks) are built by ``_unchecked`` without a second
-check, so a word step costs one pass over the deck and no sort.
+Checking policy: values are checked once, where they enter, and each
+rule has one home here.  ``_decimal`` reads every card and operation
+token, ``_is_arrangement`` accepts labels and images, and
+``check_deck_size`` guards every entry point that takes a size.  The
+public constructors check their arguments; values derived from checked
+values (products, inverses, moved decks, contractions) are built by
+``_unchecked``, so a word step costs one pass over the deck and no sort.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import xor
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 #: Hard upper bound on deck sizes; everything in scope is desk scale.
 MAX_DECK_SIZE = 1 << 16
@@ -43,6 +44,26 @@ def check_deck_size(size: int) -> None:
         raise ShuffleLabError(f"deck size must be even and >= 2, got {size}")
     if size > MAX_DECK_SIZE:
         raise ShuffleLabError(f"deck size {size} exceeds cap {MAX_DECK_SIZE}")
+
+
+def _decimal(text: str) -> Optional[int]:
+    """The value of a token ``str.isdecimal`` accepts and ``int`` reads, else None."""
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:  # past int's digit limit
+        return None
+
+
+def _is_arrangement(values: Sequence[object]) -> bool:
+    """Whether the values are the ints 0..n-1, each exactly once.
+
+    Sorted, they equal 0..n-1, so a float or Fraction among them makes
+    the sum a non-int.
+    """
+    try:
+        return sorted(values) == list(range(len(values))) and type(sum(values)) is int
+    except TypeError:  # values that do not order against each other
+        return False
 
 
 def _unchecked(cls: type, *values: object):
@@ -74,10 +95,10 @@ class Card(NamedTuple):
 def parse_card(token: str) -> Card:
     """Parse a single card token: a decimal label, `~`-prefixed if face-up."""
     face_up = token.startswith("~")
-    body = token[1:] if face_up else token
-    if not body.isdecimal():
+    label = _decimal(token[1:] if face_up else token)
+    if label is None:
         raise ShuffleLabError(f"bad card token {token!r}")
-    return Card(int(body), face_up)
+    return Card(label, face_up)
 
 
 @dataclass(frozen=True)
@@ -93,7 +114,7 @@ class Deck:
         cards = tuple(c if isinstance(c, Card) else Card(*c) for c in self.cards)
         object.__setattr__(self, "cards", cards)
         check_deck_size(len(cards))
-        if sorted(c.label for c in cards) != list(range(len(cards))):
+        if not _is_arrangement([c.label for c in cards]):
             raise ShuffleLabError("labels must be a permutation of 0..size-1")
 
     @classmethod
@@ -115,7 +136,7 @@ class Deck:
         tokens = body.split(" ")
         if any(not t for t in tokens):
             raise ShuffleLabError(f"malformed deck text {text!r}")
-        return cls(tuple(parse_card(t) for t in tokens))
+        return cls(tuple(map(parse_card, tokens)))
 
     @property
     def size(self) -> int:
@@ -127,14 +148,8 @@ class Deck:
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.cards)
 
-    def __len__(self) -> int:
-        return len(self.cards)
-
     def __iter__(self) -> Iterator[Card]:
         return iter(self.cards)
-
-    def __getitem__(self, i: int) -> Card:
-        return self.cards[i]
 
 
 def _inverse(images: Sequence[int]) -> tuple[int, ...]:
@@ -172,7 +187,7 @@ class Permutation:
     def __post_init__(self) -> None:
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
-        if sorted(images) != list(range(len(images))):
+        if not _is_arrangement(images):
             raise ShuffleLabError("images must be a bijection on 0..m-1")
 
     @classmethod
@@ -182,9 +197,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __call__(self, p: int) -> int:
-        return self.images[p]
 
     def then(self, other: "Permutation") -> "Permutation":
         """Composition: apply self first, then other."""
@@ -302,16 +314,28 @@ def expand_staystack(deck: Deck) -> Deck:
     return _unchecked(Deck, tuple(map(Card, labels)))
 
 
+def is_staystack(deck: Deck) -> bool:
+    """Whether mirrored positions hold complementary cards.
+
+    Cards are read as points modulo the pairing: a face-up card stands
+    for the complement of its label.  Positions j and size-1-j must then
+    hold points that differ by half the size.
+    """
+    size = deck.size
+    half = size // 2
+    points = [(c.label + half * c.face_up) % size for c in deck.cards]
+    return all(
+        points[size - 1 - j] == (points[j] + half) % size for j in range(half)
+    )
+
+
 def contract_staystack(deck: Deck) -> Deck:
     """Recover the oriented 2n-deck whose expansion is the given 4n-deck."""
     if deck.size % 4:
         raise NotStayStackError(f"deck size {deck.size} is not a multiple of 4")
-    half = deck.size // 2
-    cards = tuple(Card(c.label % half, c.label >= half) for c in deck.cards[:half])
-    try:
-        candidate = Deck(cards)
-    except ShuffleLabError as exc:
-        raise NotStayStackError(f"first half does not encode a deck: {exc}") from exc
-    if any(c.face_up for c in deck.cards) or expand_staystack(candidate) != deck:
+    if any(c.face_up for c in deck.cards) or not is_staystack(deck):
         raise NotStayStackError("deck is not a stay-stack expansion")
-    return candidate
+    half = deck.size // 2
+    # mirrored positions hold each pair {x, x + half} once: the half is a deck
+    cards = tuple(Card(c.label % half, c.label >= half) for c in deck.cards[:half])
+    return _unchecked(Deck, cards)

@@ -38,7 +38,7 @@ import math
 import os
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
@@ -711,16 +711,7 @@ class GroupOrderReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "size": self.size,
-            "computed": self.computed,
-            "closed_form": self.closed_form,
-            "case": self.case,
-            "factored": self.factored,
-            "match": self.match,
-            "error": self.error,
-        }
+        return {**asdict(self), "family": self.family.value}
 
 
 def verify_theorem(family: Family, sizes: Iterable[int]) -> list[GroupOrderReport]:

@@ -40,6 +40,7 @@ from .deck import (
     ShuffleLabError,
     apply_oriented,
     check_deck_size,
+    is_staystack,  # noqa: F401  (re-exported)
 )
 
 
@@ -215,7 +216,7 @@ def word_element(word: WordLike, size: int) -> OrientedPermutation:
     check_deck_size(size)
     result = OrientedPermutation.identity(size)
     for step in as_word(word):
-        result = result.then(element(step, size))
+        result = result.then(_element(step.shuffle, size, step.inverted))
     return result
 
 
@@ -296,17 +297,3 @@ def horseshoe_position_step(k: int, pos: str, kind: Shuffle) -> str:
         rotated ^= 1
     return format(rotated, f"0{k}b")
 
-
-def is_staystack(deck: Deck) -> bool:
-    """Whether mirrored positions hold complementary cards.
-
-    Cards are read as points modulo the pairing: a face-up card stands
-    for the complement of its label.  Positions j and size-1-j must then
-    hold points that differ by half the size.
-    """
-    size = deck.size
-    half = size // 2
-    points = [(c.label + half * c.face_up) % size for c in deck.cards]
-    return all(
-        points[size - 1 - j] == (points[j] + half) % size for j in range(half)
-    )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .deck import Deck, ShuffleLabError
+from .deck import Deck, ShuffleLabError, _decimal, _is_arrangement
 from .shuffles import Shuffle, Word, WordLike, apply_word, as_word
 
 MAX_K = 16
@@ -82,9 +82,10 @@ class DiagramOp:
         text = token.strip().lower()
         if text == "complement":
             return cls.complement()
-        if text.startswith("bit") and text[3:].isdecimal():
-            return cls.flip_bit(int(text[3:]))
-        raise ShuffleLabError(f"unknown diagram operation {token!r}")
+        bit = _decimal(text[3:]) if text.startswith("bit") else None
+        if bit is None:
+            raise ShuffleLabError(f"unknown diagram operation {token!r}")
+        return cls.flip_bit(bit)
 
     def __str__(self) -> str:
         return "complement" if self.bit is None else f"bit{self.bit}"
@@ -158,7 +159,7 @@ def recognize(values: Sequence[int]) -> Optional[SpecialOrdering]:
     if count < 2 or count & (count - 1):
         raise ShuffleLabError(f"length must be a power of two >= 2, got {count}")
     k = count.bit_length() - 1
-    if sorted(values) != list(range(count)):
+    if not _is_arrangement(values):
         raise ShuffleLabError("values must be the distinct k-bit values")
     start = _op_from_mask(values[0] ^ values[1], k)
     if start is None:
@@ -214,13 +215,9 @@ def card_value(token: str, k: int) -> int:
     """
     _check_k(k)
     text = token.strip().upper()
-    if text == "A":
-        value = 1
-    else:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise ShuffleLabError(f"bad card {token!r}") from exc
+    value = 1 if text == "A" else _decimal(text)
+    if value is None:
+        raise ShuffleLabError(f"bad card {token!r}")
     if value == 1 << k:
         value = 0
     if not 0 <= value < 1 << k:

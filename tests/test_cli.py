@@ -364,3 +364,22 @@ def test_bad_tokens_and_empty_lists_are_error_lines(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", "--size", "2", "--word", "faro-out", "--deck", "1" * 5000 + " 0"),
+        ("diagram", "--k", "3", "--first", "1", "--start", "bit" + "1" * 5000),
+        ("trick", "--k", "4", "--left", "1_0", "--right", "11"),
+        ("trick", "--k", "4", "--left", "+3", "--right", "11"),
+    ],
+    ids=["long-card", "long-bit", "underscore-card", "signed-card"],
+)
+def test_tokens_int_reads_but_isdecimal_refuses_are_error_lines(capsys, argv):
+    # int() refuses over 4300 digits and takes "1_0" and "+3"; tokens are digits only
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -14,6 +14,7 @@ from shufflelab.deck import (
     apply_oriented,
     contract_staystack,
     expand_staystack,
+    is_staystack,
 )
 from shufflelab.shuffles import Shuffle, element
 
@@ -221,6 +222,41 @@ def test_contract_rejects_bad_sizes_and_faces():
         contract_staystack(flipped)
 
 
+def test_contract_succeeds_exactly_on_staystacks():
+    def check(deck):
+        try:
+            contracted = contract_staystack(deck)
+        except NotStayStackError:
+            assert not is_staystack(deck)
+        else:
+            assert is_staystack(deck)
+            assert expand_staystack(contracted) == deck
+
+    for labels in permutations(range(4)):
+        check(Deck(tuple(map(Card, labels))))
+    rng = random.Random(10)
+    for size in (8, 12):
+        for _ in range(1000):
+            check(expand_staystack(random_deck(rng, size // 2)))
+            labels = list(range(size))
+            rng.shuffle(labels)
+            check(Deck(tuple(map(Card, labels))))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Permutation((1.0, 0.0)),
+        lambda: Permutation((0, "a")),
+        lambda: Deck(((1.0, False), (0, False))),
+    ],
+    ids=["float-images", "mixed-images", "float-labels"],
+)
+def test_labels_and_images_must_be_ints(build):
+    with pytest.raises(ShuffleLabError):
+        build()
+
+
 # -- text format --------------------------------------------------------------
 
 
@@ -247,3 +283,8 @@ def test_card_tokens_take_only_decimal_digits(token):
         Deck.parse(f"{token} 0")
     # the decimal digits of other scripts are what int() accepts
     assert Deck.parse("١ ~٠") == Deck.parse("1 ~0")
+
+
+def test_card_tokens_past_the_int_digit_limit_are_refused():
+    with pytest.raises(ShuffleLabError, match="bad card token"):
+        Deck.parse("1" * 5000 + " 0")

@@ -303,3 +303,21 @@ def test_card_value_inverts_card_name():
         card_value("9", 3)
     with pytest.raises(ShuffleLabError, match=r"^k must be in 1\.\.16, got 0$"):
         card_value("A", 0)
+
+
+@pytest.mark.parametrize(
+    "token", ["1_0", "+3", "-1", "1" * 5000], ids=["underscore", "signed", "negative", "long"]
+)
+def test_card_value_takes_only_decimal_digits(token):
+    with pytest.raises(ShuffleLabError, match="^bad card "):
+        card_value(token, 4)
+
+
+def test_other_scripts_digits_keep_their_value():
+    assert card_value("١٠", 4) == 10
+    assert DiagramOp.parse("bit١") == DiagramOp.flip_bit(1)
+
+
+def test_recognize_refuses_values_that_are_not_ints():
+    with pytest.raises(ShuffleLabError, match="distinct k-bit values"):
+        recognize([1.0, 0.0])
