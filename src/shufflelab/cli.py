@@ -16,6 +16,7 @@ from .deck import Deck, ShuffleLabError
 from .elmsley import shortest_words
 from .groups import closed_form_order, factored, group_order, verify_theorem
 from .shuffles import (
+    POSITION_FAMILIES,
     Family,
     apply_word,
     element_order,
@@ -157,6 +158,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    position_families = [f.value for f in POSITION_FAMILIES]
     parser = argparse.ArgumentParser(
         prog="shufflelab",
         description="Perfect shuffles: apply them, order them, verify their groups.",
@@ -190,17 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("elmsley", _cmd_elmsley, "all minimal in/out words between positions")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument(
-        "--family", required=True, choices=[Family.FARO.value, Family.HORSESHOE.value]
-    )
+    p.add_argument("--family", required=True, choices=position_families)
     p.add_argument("--from", dest="source", type=int, required=True)
     p.add_argument("--to", type=int, default=0)
 
     p = add("route", _cmd_route, "binary-method word moving the top card")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument(
-        "--family", required=True, choices=[Family.FARO.value, Family.HORSESHOE.value]
-    )
+    p.add_argument("--family", required=True, choices=position_families)
     p.add_argument("--to", type=int, required=True)
 
     p = add("trick", _cmd_trick, "predict a shuffled 2^k packet from its end cards")

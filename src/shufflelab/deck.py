@@ -14,12 +14,12 @@ positions j and 4n-1-j always hold the two faces of one card: card
 (label, face) becomes point label + 2n*face, and point x pairs with
 (x + 2n) mod 4n.
 
-Checking policy: values are checked once, where they enter, and each
-rule has one home here.  ``_decimal`` reads every card and operation
-token, ``_is_arrangement`` accepts labels and images, and
-``check_deck_size`` guards every entry point that takes a size.  The
-public constructors check their arguments; values derived from checked
-values (products, inverses, moved decks, contractions) are built by
+Checking policy: values are checked once, where they enter from outside,
+and each rule has one home here: ``_decimal`` for card and operation
+tokens, ``_is_arrangement`` for labels and images (ints, not bools),
+``_is_flags`` for face and turn-over flags (bools only), and
+``check_deck_size`` for sizes.  Everything derived (shuffle tables from
+their formulas, word folds, products, inverses, moved decks) is built by
 ``_unchecked``, so a word step costs one pass over the deck and no sort.
 """
 
@@ -55,15 +55,13 @@ def _decimal(text: str) -> Optional[int]:
 
 
 def _is_arrangement(values: Sequence[object]) -> bool:
-    """Whether the values are the ints 0..n-1, each exactly once.
+    """Whether the values are the ints 0..n-1, each exactly once; a bool is no int."""
+    return set(map(type, values)) <= {int} and sorted(values) == [*range(len(values))]
 
-    Sorted, they equal 0..n-1, so a float or Fraction among them makes
-    the sum a non-int.
-    """
-    try:
-        return sorted(values) == list(range(len(values))) and type(sum(values)) is int
-    except TypeError:  # values that do not order against each other
-        return False
+
+def _is_flags(values: Sequence[object]) -> bool:
+    """Whether every value is a bool."""
+    return set(map(type, values)) <= {bool}
 
 
 def _unchecked(cls: type, *values: object):
@@ -105,17 +103,22 @@ def parse_card(token: str) -> Card:
 class Deck:
     """An even-sized deck of cards, index 0 on top.
 
-    Labels must form a permutation of 0..size-1.
+    Cards are ``(label[, face_up])`` tuples: labels 0..size-1, bool flags.
     """
 
     cards: tuple[Card, ...]
 
     def __post_init__(self) -> None:
-        cards = tuple(c if isinstance(c, Card) else Card(*c) for c in self.cards)
+        try:
+            cards = tuple(c if isinstance(c, Card) else Card(*c) for c in self.cards)
+        except TypeError:  # a card that does not unpack into a label and a flag
+            raise ShuffleLabError("cards must be (label[, face_up]) tuples") from None
         object.__setattr__(self, "cards", cards)
         check_deck_size(len(cards))
         if not _is_arrangement([c.label for c in cards]):
             raise ShuffleLabError("labels must be a permutation of 0..size-1")
+        if not _is_flags([c.face_up for c in cards]):
+            raise ShuffleLabError("face flags must be bools")
 
     @classmethod
     def identity(cls, size: int) -> "Deck":
@@ -231,8 +234,10 @@ class OrientedPermutation:
     flips: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        flips = tuple(bool(f) for f in self.flips)
+        flips = tuple(self.flips)
         object.__setattr__(self, "flips", flips)
+        if not _is_flags(flips):
+            raise ShuffleLabError("flips must be bools")
         if len(flips) != self.perm.degree:
             raise ShuffleLabError("flips length must match permutation degree")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .deck import ShuffleLabError, _inverse
 from .shuffles import (
+    POSITION_FAMILIES,
     Family,
     Shuffle,
     Step,
@@ -46,7 +47,7 @@ class PositionGraph:
 
     @classmethod
     def build(cls, size: int, family: Family) -> "PositionGraph":
-        if family not in (Family.FARO, Family.HORSESHOE):
+        if family not in POSITION_FAMILIES:
             raise ShuffleLabError(
                 f"position graphs are defined for faro/horseshoe, not {family}"
             )

@@ -574,22 +574,19 @@ def permutation_parity(p: Permutation) -> Literal["even", "odd"]:
 # -- order computations and theorem verification ------------------------------
 
 
-def _check_size_cap(size: int) -> None:
-    cap = size_cap()
-    if size > cap:
-        raise CapExceededError(
-            f"deck size {size} exceeds size cap {cap}"
-            " (set SHUFFLELAB_SIZE_CAP to raise it)"
-        )
-
-
 def group_order(family: Family, size: int) -> int:
     """Exact order of the family's shuffle group at the given deck size.
 
     Orders small enough for brute force are cross-checked against the
     enumeration oracle.
     """
-    _check_size_cap(size)
+    check_deck_size(size)
+    cap = size_cap()
+    if size > cap:
+        raise CapExceededError(
+            f"deck size {size} exceeds size cap {cap}"
+            " (set SHUFFLELAB_SIZE_CAP to raise it)"
+        )
     generators = family_generators(family, size)
     order = StabilizerChain(generators).order
     if order <= BRUTE_FORCE_LIMIT:
@@ -718,17 +715,15 @@ def verify_theorem(family: Family, sizes: Iterable[int]) -> list[GroupOrderRepor
     """Compare computed group orders against the closed forms, per size.
 
     Refusals (size caps, sizes with no closed-form case) become error
-    rows rather than aborting the run.  The deck size and the size cap
-    are checked before the closed form, whose factorial a refused size
-    need not pay for.
+    rows rather than aborting the run.  ``group_order`` runs first, so a
+    size it refuses gets its error text and never pays for the closed
+    form's factorial.
     """
     reports = []
     for size in sizes:
         try:
-            check_deck_size(size)
-            _check_size_cap(size)
-            closed = closed_form_order(family, size)
             computed = group_order(family, size)
+            closed = closed_form_order(family, size)
         except ShuffleLabError as exc:
             reports.append(
                 GroupOrderReport(family, size, None, None, None, None, False, str(exc))

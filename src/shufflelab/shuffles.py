@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence, Union
 
 from .deck import (
@@ -38,6 +38,7 @@ from .deck import (
     OrientedPermutation,
     Permutation,
     ShuffleLabError,
+    _unchecked,
     apply_oriented,
     check_deck_size,
     is_staystack,  # noqa: F401  (re-exported)
@@ -136,6 +137,8 @@ class Family(Enum):
         raise ShuffleLabError(f"unknown family {token!r}")
 
 
+#: The families with position graphs and binary routes.
+POSITION_FAMILIES = (Family.FARO, Family.HORSESHOE)
 _FAMILY_IN_OUT = {
     Family.FARO: (Shuffle.FARO_IN, Shuffle.FARO_OUT),
     Family.FLIP: (Shuffle.FLIP_IN, Shuffle.FLIP_OUT),
@@ -192,10 +195,10 @@ def _base_element(kind: Shuffle, size: int) -> OrientedPermutation:
 def _table(
     images: tuple[int, ...], flip_top: bool = False, flip_bottom: bool = False
 ) -> OrientedPermutation:
-    """A shuffle through the checking constructors, turning whole deck halves."""
+    """A shuffle table from its formula's images, built unchecked; halves may turn."""
     n = len(images) // 2
     flips = (flip_top,) * n + (flip_bottom,) * n
-    return OrientedPermutation(Permutation(images), flips)
+    return _unchecked(OrientedPermutation, _unchecked(Permutation, images), flips)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -214,10 +217,11 @@ def element(step: StepLike, size: int) -> OrientedPermutation:
 def word_element(word: WordLike, size: int) -> OrientedPermutation:
     """Fold a word into a single oriented permutation, left to right."""
     check_deck_size(size)
-    result = OrientedPermutation.identity(size)
-    for step in as_word(word):
-        result = result.then(_element(step.shuffle, size, step.inverted))
-    return result
+    steps = as_word(word)
+    if not steps:
+        return OrientedPermutation.identity(size)
+    elements = (_element(step.shuffle, size, step.inverted) for step in steps)
+    return reduce(OrientedPermutation.then, elements)
 
 
 def apply_word(word: WordLike, deck: Deck) -> Deck:
@@ -255,19 +259,16 @@ def route_top_to(target: int, size: int, family: Family) -> Word:
     works for both families.
     """
     check_deck_size(size)
-    if family not in (Family.FARO, Family.HORSESHOE):
+    if family not in POSITION_FAMILIES:
         raise ShuffleLabError(f"routing is defined for faro/horseshoe, not {family}")
     if not 0 <= target < size:
         raise ShuffleLabError(f"target {target} out of range for size {size}")
     in_kind, out_kind = family_in_out(family)
-    if target == 0:
-        return ()
-    word = tuple(
-        Step(in_kind if bit == "1" else out_kind) for bit in bin(target)[2:]
-    )
+    bits = f"{target:b}".lstrip("0")  # 0 has no bits: the top card needs no shuffle
+    word = tuple(Step(in_kind if bit == "1" else out_kind) for bit in bits)
     pos = 0
     for step in word:
-        pos = element(step, size).perm.images[pos]
+        pos = _element(step.shuffle, size, False).perm.images[pos]
     if pos != target:  # pragma: no cover - guards the binary-routing argument
         raise ShuffleLabError(f"routing failed: reached {pos}, wanted {target}")
     return word

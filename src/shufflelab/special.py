@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .deck import Deck, ShuffleLabError, _decimal, _is_arrangement
+from .deck import MAX_DECK_SIZE, Deck, ShuffleLabError, _decimal, _is_arrangement
 from .shuffles import Shuffle, Word, WordLike, apply_word, as_word
 
-MAX_K = 16
+MAX_K = MAX_DECK_SIZE.bit_length() - 1
 
 #: Shuffles the audience may use without breaking specialness.
 TRICK_ALPHABET = frozenset(

@@ -383,3 +383,10 @@ def test_tokens_int_reads_but_isdecimal_refuses_are_error_lines(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_a_bad_size_in_a_size_list_is_an_error_line(capsys):
+    code, out, err = run_cli(capsys, "verify", "--family", "faro", "--sizes", "8,x")
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad size list '8,x'\n"

@@ -257,6 +257,49 @@ def test_labels_and_images_must_be_ints(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Permutation((True, False)),
+        lambda: Deck(((True, False), (False, False))),
+        lambda: Deck(((0, "yes"), (1, False))),
+        lambda: Deck(((0, 1), (1, False))),
+        lambda: OrientedPermutation(Permutation((1, 0)), (1, 0)),
+        lambda: Deck(((0,), (1, 2, 3))),
+        lambda: Deck(((0, False), ())),
+        lambda: Deck((0, 1)),
+    ],
+    ids=[
+        "bool-images",
+        "bool-labels",
+        "str-face",
+        "int-face",
+        "int-flips",
+        "three-field-card",
+        "empty-card",
+        "bare-label-cards",
+    ],
+)
+def test_bools_are_not_labels_and_flags_are_only_bools(build):
+    with pytest.raises(ShuffleLabError):
+        build()
+
+
+def test_int_labels_and_bool_flags_keep_their_shapes_and_values():
+    # Cards, (label,) and (label, face_up) tuples, and lists of either
+    deck = Deck((Card(1, True), (0,), [3, False], [2]))
+    assert deck == Deck.parse("~1 0 3 2")
+    assert all(type(card) is Card for card in deck)
+    op = OrientedPermutation(Permutation([1, 0]), [True, False])
+    assert op.perm.images == (1, 0) and op.flips == (True, False)
+
+
+def test_permutation_order_is_the_lcm_of_its_cycle_lengths():
+    assert Permutation((1, 2, 0, 4, 3)).order() == 6
+    assert Permutation.identity(4).order() == 1
+    assert Permutation(()).order() == 1
+
+
 # -- text format --------------------------------------------------------------
 
 

@@ -626,6 +626,15 @@ def test_verify_checks_the_cap_before_the_closed_form(monkeypatch):
     assert reports[2].error.startswith("deck size 65534 exceeds size cap 40")
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_group_order_and_verify_refuse_a_size_with_one_text(family):
+    for size in (0, -2, 7, 41, 42, 65534, 65538):
+        with pytest.raises(ShuffleLabError) as refused:
+            group_order(family, size)
+        [report] = verify_theorem(family, [size])
+        assert report.error == str(refused.value)
+
+
 def test_report_rendering():
     report = verify_theorem(Family.HORSESHOE, [12])[0]
     line = report.line()
@@ -678,3 +687,15 @@ def test_tuple_transitivity_node_cap():
     gens = family_generators(Family.HORSESHOE, 12)
     with pytest.raises(CapExceededError):
         tuple_transitivity_order(gens, 5, node_cap=100)
+
+
+def test_sift_refuses_a_permutation_of_another_degree():
+    chain = schreier_sims(family_generators(Family.FARO, 8))
+    with pytest.raises(ShuffleLabError, match="degree mismatch"):
+        chain.sift(Permutation.identity(6))
+
+
+def test_factored_refuses_non_positive_numbers():
+    for n in (0, -12):
+        with pytest.raises(ShuffleLabError, match=f"cannot factor {n}"):
+            factored(n)

@@ -19,8 +19,10 @@ from shufflelab.deck import (
     contract_staystack,
     expand_staystack,
 )
-from shufflelab.groups import permutation_parity
+from shufflelab.elmsley import PositionGraph
+from shufflelab.groups import family_generators, permutation_parity
 from shufflelab.shuffles import (
+    POSITION_FAMILIES,
     Family,
     Shuffle,
     Step,
@@ -333,6 +335,17 @@ def test_position_step_validation():
         horseshoe_position_step(4, "1011", Shuffle.FARO_IN)
 
 
+def test_position_step_needs_at_least_one_bit():
+    with pytest.raises(ShuffleLabError, match="k must be >= 1, got 0"):
+        horseshoe_position_step(0, "", Shuffle.HORSE_IN)
+
+
+def test_family_parse_refuses_unknown_names():
+    assert Family.parse(" Horse ") is Family.HORSESHOE
+    with pytest.raises(ShuffleLabError, match="unknown family 'bogus'"):
+        Family.parse("bogus")
+
+
 # -- stay stack ---------------------------------------------------------------
 
 
@@ -463,6 +476,54 @@ def test_element_caches_stay_bounded():
         info = cache.cache_info()
         assert info.maxsize is not None and info.maxsize <= 64
         assert info.currsize <= info.maxsize
+
+
+# -- derived values skip the input checks -------------------------------------
+
+
+def test_derived_values_skip_the_constructor_checks(monkeypatch):
+    # tables come from their formulas; folds, routes and graphs from the tables
+    deck = Deck.identity(40)
+    word = parse_word("faro-out, inv:flip-in, milk, inv:monge-over, turnover, horse-in")
+    for cache in (shuffles._base_element, shuffles._element):
+        cache.cache_clear()
+    checks = []
+    for cls in (Deck, Permutation, OrientedPermutation):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, check=check: checks.append(check(self))
+        )
+    for size in (*range(2, 42, 2), MAX_DECK_SIZE):
+        for kind in Shuffle:
+            element(kind, size)
+            element(Step(kind, inverted=True), size)
+    word_element(word, MAX_DECK_SIZE)
+    apply_word(word, deck)
+    element_order(word, 40)
+    for family in POSITION_FAMILIES:
+        route_top_to(37, 40, family)
+        PositionGraph.build(40, family)
+    for family in Family:
+        family_generators(family, 40)
+    monkeypatch.undo()
+    assert checks == []
+
+
+def test_a_word_of_n_steps_makes_n_minus_one_products(monkeypatch):
+    rng = random.Random(11)
+    steps = [Step(kind, inverted) for kind in Shuffle for inverted in (False, True)]
+    for step in steps:
+        element(step, 12)  # the milk and Monge tables are products themselves
+    calls = []
+    then = OrientedPermutation.then
+    monkeypatch.setattr(
+        OrientedPermutation, "then", lambda self, other: calls.append(1) or then(self, other)
+    )
+    for n in range(1, 10):
+        word = tuple(rng.choice(steps) for _ in range(n))
+        calls.clear()
+        word_element(word, 12)
+        assert len(calls) == n - 1
 
 
 # -- interlacing tables at the size cap ---------------------------------------

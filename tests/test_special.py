@@ -3,10 +3,11 @@ from itertools import permutations
 
 import pytest
 
-from shufflelab.deck import Deck, ShuffleLabError
+from shufflelab.deck import MAX_DECK_SIZE, Deck, ShuffleLabError
 from shufflelab.groups import group_order
 from shufflelab.shuffles import Family, Shuffle, Step, apply_word
 from shufflelab.special import (
+    MAX_K,
     TRICK_ALPHABET,
     ClosureViolationError,
     DiagramOp,
@@ -321,3 +322,24 @@ def test_other_scripts_digits_keep_their_value():
 def test_recognize_refuses_values_that_are_not_ints():
     with pytest.raises(ShuffleLabError, match="distinct k-bit values"):
         recognize([1.0, 0.0])
+
+
+def test_recognize_refuses_bools():
+    with pytest.raises(ShuffleLabError, match="distinct k-bit values"):
+        recognize([True, False])
+
+
+def test_recognize_ends_of_no_cycle_operation_are_not_special():
+    # the first two cards differ in two of three bits: no operation starts it
+    assert recognize((0, 3, 1, 2, 4, 5, 6, 7)) is None
+
+
+def test_flip_bit_refuses_negative_indices():
+    with pytest.raises(ShuffleLabError, match="bit index must be >= 0, got -1"):
+        DiagramOp.flip_bit(-1)
+
+
+def test_largest_k_is_the_largest_deck():
+    assert 1 << MAX_K == MAX_DECK_SIZE
+    with pytest.raises(ShuffleLabError, match=r"^k must be in 1\.\.16, got 17$"):
+        generate(MAX_K + 1, 0, DiagramOp.complement())
