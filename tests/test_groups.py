@@ -628,8 +628,18 @@ def test_verify_checks_the_cap_before_the_closed_form(monkeypatch):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_group_order_and_verify_refuse_a_size_with_one_text(family):
-    for size in (0, -2, 7, 41, 42, 65534, 65538):
-        with pytest.raises(ShuffleLabError) as refused:
+    # the deck-size rule comes first, the size cap second
+    texts = {
+        0: "deck size must be even and >= 2, got 0",
+        -2: "deck size must be even and >= 2, got -2",
+        7: "deck size must be even and >= 2, got 7",
+        41: "deck size must be even and >= 2, got 41",
+        42: "deck size 42 exceeds size cap 40",
+        65534: "deck size 65534 exceeds size cap 40",
+        65538: "deck size 65538 exceeds cap 65536",
+    }
+    for size, text in texts.items():
+        with pytest.raises(ShuffleLabError, match=f"^{re.escape(text)}") as refused:
             group_order(family, size)
         [report] = verify_theorem(family, [size])
         assert report.error == str(refused.value)
