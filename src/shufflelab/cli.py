@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -30,10 +31,8 @@ from .special import DiagramOp, card_name, card_value, generate, predict_from_en
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+    # flushed here, so that a closed pipe raises inside ``main``, not at exit
+    print(json.dumps(payload, sort_keys=True) if args.json else text, flush=True)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -221,6 +220,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except ShuffleLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader left (``| head``): silence the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -18,14 +18,16 @@ Checking policy: values are checked once, where they enter from outside,
 and each rule has one home here: ``_decimal`` for card and operation
 tokens, ``_is_arrangement`` for labels and images (ints, not bools),
 ``_is_flags`` for face and turn-over flags (bools only), and
-``check_deck_size`` for sizes.  Everything derived (shuffle tables from
-their formulas, word folds, products, inverses, moved decks) is built by
-``_unchecked``, so a word step costs one pass over the deck and no sort.
+``check_deck_size`` for sizes (ints only).  Everything derived (shuffle
+tables from their formulas, word folds, products, inverses, moved decks)
+is built by ``_unchecked``, so a word step costs one pass over the deck
+and no sort.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import xor
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -39,11 +41,13 @@ class ShuffleLabError(ValueError):
 
 
 def check_deck_size(size: int) -> None:
-    """Refuse a deck size that is odd, below 2, or above ``MAX_DECK_SIZE``."""
+    """Refuse a deck size that is no int, odd, below 2, or above ``MAX_DECK_SIZE``."""
+    if not isinstance(size, int):
+        raise ShuffleLabError(f"deck size must be an int, got {size!r}")
     if size < 2 or size % 2:
-        raise ShuffleLabError(f"deck size must be even and >= 2, got {size}")
+        raise ShuffleLabError(f"deck size must be even and >= 2, got {size!r}")
     if size > MAX_DECK_SIZE:
-        raise ShuffleLabError(f"deck size {size} exceeds cap {MAX_DECK_SIZE}")
+        raise ShuffleLabError(f"deck size {size!r} exceeds cap {MAX_DECK_SIZE}")
 
 
 def _decimal(text: str) -> Optional[int]:
@@ -188,9 +192,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(self.images)
+        images = tuple(self.images) if isinstance(self.images, Iterable) else None
         object.__setattr__(self, "images", images)
-        if not _is_arrangement(images):
+        if images is None or not _is_arrangement(images):
             raise ShuffleLabError("images must be a bijection on 0..m-1")
 
     @classmethod
@@ -234,9 +238,11 @@ class OrientedPermutation:
     flips: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        flips = tuple(self.flips)
+        if not isinstance(self.perm, Permutation):
+            raise ShuffleLabError("perm must be a Permutation")
+        flips = tuple(self.flips) if isinstance(self.flips, Iterable) else None
         object.__setattr__(self, "flips", flips)
-        if not _is_flags(flips):
+        if flips is None or not _is_flags(flips):
             raise ShuffleLabError("flips must be bools")
         if len(flips) != self.perm.degree:
             raise ShuffleLabError("flips length must match permutation degree")

@@ -47,11 +47,11 @@ class PositionGraph:
 
     @classmethod
     def build(cls, size: int, family: Family) -> "PositionGraph":
+        in_kind, out_kind = family_in_out(family)
         if family not in POSITION_FAMILIES:
             raise ShuffleLabError(
                 f"position graphs are defined for faro/horseshoe, not {family}"
             )
-        in_kind, out_kind = family_in_out(family)
         return cls(
             size,
             family,

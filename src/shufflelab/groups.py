@@ -5,31 +5,19 @@ in and out shuffles: faro and horseshoe act on the 2n deck positions,
 flip acts on 4n points through the oriented embedding so that the
 face-up bookkeeping stays inside the permutation.
 
-Orders are computed with a certified Las Vegas Schreier-Sims
-stabilizer chain.  Random group elements, from a fixed seed, are sifted
-and their residues extend the chain until the product of its orbit
-sizes, a lower bound on the order, meets an upper bound from invariants
-the generators preserve: a block system {x, c(x)} of a commuting
-fixed-point-free involution c (the mirror pairs of faro, the two faces
-of a flip card), cut by the point and block signs, else the parity.
-Where the bound exceeds the order, the classical Schreier-Sims scan of
-every level's Schreier generators completes the chain instead, so every
-order is exact.  Each level keeps one table: the inverse coset
-representative of each orbit point.  All arithmetic is exact Python
-integers; the orders here overflow 64 bits already at twenty cards.
-Permutations inside the chain are plain image tuples, and the product
-``_mul(p, q)`` applies p, then q; each product is one ``itemgetter``
-call, so the inner loops run at C speed.
-
-A brute-force breadth-first enumeration doubles as an independent
-oracle for groups of modest order.  Its states are the image tuples of
-group elements, encoded as bytes (or as a str above 256 points) so that
-one generator step is one ``translate`` call; the group acts on them
-regularly, so the orbit of the identity has exactly |G| states.  The
-search steps one whole level per generator in a single ``dict.update``
-call, fed at most one state past its cap, so a cap stops it exactly
-where a state-by-state search would stop.  The closed forms of the
-order theorems are tabulated for verification runs.
+Orders come from a certified Las Vegas Schreier-Sims stabilizer chain,
+and each order is proven once.  A certified chain's orbit-size product,
+a lower bound, meets an upper bound from invariants the generators
+preserve (``_order_bound``), which proves it.  Where the bound exceeds
+the order, the classical Schreier-Sims scan completes the chain, and
+``group_order`` checks a scanned order within ``BRUTE_FORCE_LIMIT``
+against a brute-force enumeration of the group (``_orbit_size``).  The
+test suite checks both kinds against the enumeration over every family
+and even size up to the default size cap.  All arithmetic is exact
+Python integers; the orders here overflow 64 bits already at twenty
+cards.  Permutations inside the chain are plain image tuples, and the
+product ``_mul(p, q)``, one ``itemgetter`` call, applies p, then q.  The
+closed forms of the order theorems are tabulated for verification runs.
 """
 
 from __future__ import annotations
@@ -51,14 +39,13 @@ from .deck import (
     _unchecked,
     check_deck_size,
 )
-from .shuffles import Family, element, family_in_out
+from .shuffles import Family, check_family, element, family_in_out
 
 #: Deck-size cap for chain computations, overridable via SHUFFLELAB_SIZE_CAP.
 DEFAULT_SIZE_CAP = 40
-#: Orders at or below this are cross-checked by brute-force enumeration.
+#: State budget of every orbit search: the default limit of both oracles, and
+#: the largest scanned-chain order that ``group_order`` enumerates.
 BRUTE_FORCE_LIMIT = 10**6
-#: Node cap for orbit breadth-first searches.
-ORBIT_NODE_CAP = 10**6
 
 
 class CapExceededError(ShuffleLabError):
@@ -553,7 +540,7 @@ def brute_force_order(
 
 
 def tuple_transitivity_order(
-    generators: Sequence[Permutation], t: int, node_cap: int = ORBIT_NODE_CAP
+    generators: Sequence[Permutation], t: int, node_cap: int = BRUTE_FORCE_LIMIT
 ) -> int:
     """Size of the orbit of (0, 1, ..., t-1) under the generated group.
 
@@ -577,8 +564,9 @@ def permutation_parity(p: Permutation) -> Literal["even", "odd"]:
 def group_order(family: Family, size: int) -> int:
     """Exact order of the family's shuffle group at the given deck size.
 
-    Orders small enough for brute force are cross-checked against the
-    enumeration oracle.
+    A certified chain's order stands on the invariant bound it meets.  A
+    scanned chain's order within ``BRUTE_FORCE_LIMIT`` is checked against
+    the enumeration oracle, and a disagreement raises.
     """
     check_deck_size(size)
     cap = size_cap()
@@ -588,9 +576,10 @@ def group_order(family: Family, size: int) -> int:
             " (set SHUFFLELAB_SIZE_CAP to raise it)"
         )
     generators = family_generators(family, size)
-    order = StabilizerChain(generators).order
-    if order <= BRUTE_FORCE_LIMIT:
-        enumerated = brute_force_order(generators, BRUTE_FORCE_LIMIT)
+    chain = StabilizerChain(generators)
+    order = chain.order
+    if not chain.certified and order <= BRUTE_FORCE_LIMIT:
+        enumerated = brute_force_order(generators)
         if enumerated != order:
             raise ShuffleLabError(
                 f"stabilizer chain order {order} disagrees with"
@@ -612,6 +601,7 @@ def closed_form_order(family: Family, size: int) -> ClosedForm:
     refuses are refused here too, and size 2 has no closed form: the
     case tables contradict each other there.
     """
+    check_family(family)
     check_deck_size(size)
     if family is Family.FARO:
         return _closed_form_faro(size)
@@ -715,10 +705,12 @@ def verify_theorem(family: Family, sizes: Iterable[int]) -> list[GroupOrderRepor
     """Compare computed group orders against the closed forms, per size.
 
     Refusals (size caps, sizes with no closed-form case) become error
-    rows rather than aborting the run.  ``group_order`` runs first, so a
+    rows rather than aborting the run; a family that is not a ``Family``
+    is refused before the first row.  ``group_order`` runs first, so a
     size it refuses gets its error text and never pays for the closed
     form's factorial.
     """
+    check_family(family)
     reports = []
     for size in sizes:
         try:
@@ -728,16 +720,7 @@ def verify_theorem(family: Family, sizes: Iterable[int]) -> list[GroupOrderRepor
             reports.append(
                 GroupOrderReport(family, size, None, None, None, None, False, str(exc))
             )
-            continue
-        reports.append(
-            GroupOrderReport(
-                family,
-                size,
-                computed,
-                closed.value,
-                closed.case,
-                closed.factored,
-                computed == closed.value,
-            )
-        )
+        else:
+            match = computed == closed.value
+            reports.append(GroupOrderReport(family, size, computed, *closed, match))
     return reports

@@ -153,8 +153,15 @@ _INOUT_TOKENS = {
 }
 
 
+def check_family(family: object) -> None:
+    """Refuse a value that is not a ``Family``, such as its text token."""
+    if not isinstance(family, Family):
+        raise ShuffleLabError(f"family must be a Family, got {family!r}")
+
+
 def family_in_out(family: Family) -> tuple[Shuffle, Shuffle]:
     """The (in, out) shuffle kinds of a family."""
+    check_family(family)
     return _FAMILY_IN_OUT[family]
 
 
@@ -259,11 +266,11 @@ def route_top_to(target: int, size: int, family: Family) -> Word:
     works for both families.
     """
     check_deck_size(size)
+    in_kind, out_kind = family_in_out(family)
     if family not in POSITION_FAMILIES:
         raise ShuffleLabError(f"routing is defined for faro/horseshoe, not {family}")
     if not 0 <= target < size:
         raise ShuffleLabError(f"target {target} out of range for size {size}")
-    in_kind, out_kind = family_in_out(family)
     bits = f"{target:b}".lstrip("0")  # 0 has no bits: the top card needs no shuffle
     word = tuple(Step(in_kind if bit == "1" else out_kind) for bit in bits)
     pos = 0

@@ -302,6 +302,24 @@ def test_module_entry_point():
     assert proc.stdout == "4 8 3 7 5 A 2 6\n"
 
 
+def test_a_closed_pipe_ends_quietly():
+    # about 380 KB of output, more than a pipe holds: the reader closes its
+    # end after 5 bytes, as ``| head -c 5`` does
+    argv = ["diagram", "--k", "16", "--first", "1", "--start", "bit3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shufflelab", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(5)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert len(head) == 5
+    assert b"Traceback" not in err
+
+
 def test_size_cap_env_var(monkeypatch):
     monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "64")
     proc = subprocess.run(

@@ -285,6 +285,38 @@ def test_bools_are_not_labels_and_flags_are_only_bools(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: Permutation(5), "images must be a bijection on 0..m-1"),
+        (lambda: Permutation(None), "images must be a bijection on 0..m-1"),
+        (lambda: OrientedPermutation(Permutation((1, 0)), 5), "flips must be bools"),
+        (
+            lambda: OrientedPermutation((1, 0), (False, False)),
+            "perm must be a Permutation",
+        ),
+        (lambda: Deck.identity("4"), "deck size must be an int, got '4'"),
+        (lambda: Deck.identity(4.0), "deck size must be an int, got 4.0"),
+        (lambda: element(Shuffle.FARO_IN, "4"), "deck size must be an int, got '4'"),
+        (lambda: Deck.identity(True), "deck size must be even and >= 2, got True"),
+    ],
+    ids=[
+        "int-images",
+        "none-images",
+        "int-flips",
+        "tuple-perm",
+        "str-size",
+        "float-size",
+        "str-element-size",
+        "bool-size",
+    ],
+)
+def test_arguments_of_the_wrong_kind_are_refused_where_they_enter(build, text):
+    with pytest.raises(ShuffleLabError) as refused:
+        build()
+    assert str(refused.value) == text
+
+
 def test_int_labels_and_bool_flags_keep_their_shapes_and_values():
     # Cards, (label,) and (label, face_up) tuples, and lists of either
     deck = Deck((Card(1, True), (0,), [3, False], [2]))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from shufflelab import groups
 from shufflelab.deck import Permutation, ShuffleLabError
+from shufflelab.elmsley import PositionGraph, shortest_words
 from shufflelab.groups import (
     CapExceededError,
     NoClosedFormError,
@@ -28,7 +29,14 @@ from shufflelab.groups import (
     verify_theorem,
 )
 from shufflelab.groups import _order_bound
-from shufflelab.shuffles import Family, Shuffle, Step, element, word_element
+from shufflelab.shuffles import (
+    Family,
+    Shuffle,
+    Step,
+    element,
+    route_top_to,
+    word_element,
+)
 
 
 def eval_factored(text):
@@ -515,6 +523,94 @@ def test_bad_size_cap_is_a_shufflelab_error(monkeypatch, value):
         group_order(Family.FARO, 8)
     monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "2")
     assert size_cap() == 2
+
+
+#: Oracle runs per ``group_order`` call: none for a certified chain, whose
+#: order meets the invariant bound; one for a scanned chain within the budget;
+#: none for a scanned chain above it.
+ORACLE_CALLS = {
+    (Family.FARO, 10): 0,
+    (Family.FARO, 14): 0,
+    (Family.HORSESHOE, 4): 0,
+    (Family.FARO, 20): 0,
+    (Family.HORSESHOE, 12): 1,
+    (Family.FARO, 12): 1,
+    (Family.FLIP, 6): 1,
+    (Family.FARO, 24): 0,
+    (Family.FLIP, 12): 0,
+}
+
+
+@pytest.mark.parametrize("family, size", list(ORACLE_CALLS))
+def test_group_order_enumerates_only_scanned_chains_within_the_budget(
+    monkeypatch, family, size
+):
+    calls = []
+    oracle = groups.brute_force_order
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(groups, "brute_force_order", counted)
+    assert group_order(family, size) == closed_form_order(family, size).value
+    assert len(calls) == ORACLE_CALLS[family, size]
+
+
+def test_a_scanned_order_the_enumeration_contradicts_is_refused(monkeypatch):
+    oracle = groups.brute_force_order
+    monkeypatch.setattr(groups, "brute_force_order", lambda *args: oracle(*args) + 1)
+    with pytest.raises(ShuffleLabError, match="disagrees with enumeration"):
+        group_order(Family.HORSESHOE, 12)
+
+
+#: Every even size up to the default cap, and the powers of two above it up
+#: to 256 cards (flip, on twice the points, to 128).
+EVIDENCE_SIZES = {
+    family: [*range(2, 41, 2), *(1 << k for k in range(6, top + 1))]
+    for family, top in ((Family.FARO, 8), (Family.HORSESHOE, 8), (Family.FLIP, 7))
+}
+
+
+@pytest.mark.parametrize("family", list(EVIDENCE_SIZES))
+def test_every_order_carries_its_evidence(monkeypatch, family):
+    # The sweep that stands in for a runtime re-check of certified orders: a
+    # certified order is the invariant bound, and every order within the
+    # budget is the enumerated one.
+    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "256")
+    for size in EVIDENCE_SIZES[family]:
+        gens = family_generators(family, size)
+        chain = StabilizerChain(gens)
+        if chain.certified:
+            bound = _order_bound([g.images for g in gens], chain.degree)
+            assert chain.order == bound, (family, size)
+        if chain.order <= groups.BRUTE_FORCE_LIMIT:
+            assert chain.order == brute_force_order(gens), (family, size)
+        assert group_order(family, size) == chain.order, (family, size)
+
+
+@pytest.mark.parametrize("family", ["faro", "horse", "flip", None, 0])
+def test_a_family_that_is_not_a_family_is_refused(family):
+    text = f"family must be a Family, got {family!r}"
+    calls = [closed_form_order, group_order, family_generators]
+    calls += [
+        lambda f, size: route_top_to(1, size, f),
+        lambda f, size: PositionGraph.build(size, f),
+        lambda f, size: shortest_words(size, f, 1, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ShuffleLabError) as refused:
+            call(family, 8)
+        assert str(refused.value) == text
+    with pytest.raises(ShuffleLabError, match=re.escape(text)):
+        verify_theorem(family, [8])
+
+
+@pytest.mark.parametrize("size", ["4", 4.0, None])
+def test_a_size_that_is_not_an_int_is_refused(size):
+    for call in (closed_form_order, group_order):
+        with pytest.raises(ShuffleLabError, match="deck size must be an int"):
+            call(Family.FARO, size)
 
 
 # -- closed forms -------------------------------------------------------------
