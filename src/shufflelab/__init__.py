@@ -4,118 +4,82 @@ Five shuffle families (faro, flip, horseshoe, milk, Monge) modeled as
 oriented permutations, stabilizer-chain group orders with closed-form
 verification, breadth-first shortest shuffle sequences, and the
 special-ordering oracle for power-of-two decks.
+
+The public names and the submodules load on first use (PEP 562), so
+``import shufflelab`` imports none of the submodules, and a command
+line run imports only the modules its command needs.
 """
 
-from .deck import (
-    MAX_DECK_SIZE,
-    Card,
-    Deck,
-    NotStayStackError,
-    OrientedPermutation,
-    Permutation,
-    ShuffleLabError,
-    apply_oriented,
-    contract_staystack,
-    expand_staystack,
-    is_staystack,
-)
-from .elmsley import (
-    PositionGraph,
-    SolutionSet,
-    UnreachableError,
-    second_position_cycle,
-    shortest_words,
-)
-from .groups import (
-    CapExceededError,
-    GroupOrderReport,
-    NoClosedFormError,
-    StabilizerChain,
-    brute_force_order,
-    closed_form_order,
-    family_generators,
-    group_order,
-    permutation_parity,
-    schreier_sims,
-    tuple_transitivity_order,
-    verify_theorem,
-)
-from .shuffles import (
-    Family,
-    Shuffle,
-    Step,
-    Word,
-    apply_word,
-    element,
-    element_order,
-    format_word,
-    horseshoe_position_step,
-    inout_text,
-    parse_word,
-    route_top_to,
-    word_element,
-)
-from .special import (
-    ClosureViolationError,
-    DiagramOp,
-    InvalidEndsError,
-    SpecialOrdering,
-    TrickTranscript,
-    predict_from_ends,
-    trick_session,
-)
-from . import special
+from importlib import import_module
 
-__all__ = [
-    "MAX_DECK_SIZE",
-    "Card",
-    "Deck",
-    "Permutation",
-    "OrientedPermutation",
-    "apply_oriented",
-    "expand_staystack",
-    "contract_staystack",
-    "ShuffleLabError",
-    "NotStayStackError",
-    "Shuffle",
-    "Step",
-    "Word",
-    "Family",
-    "element",
-    "word_element",
-    "apply_word",
-    "element_order",
-    "route_top_to",
-    "horseshoe_position_step",
-    "is_staystack",
-    "parse_word",
-    "format_word",
-    "inout_text",
-    "StabilizerChain",
-    "schreier_sims",
-    "group_order",
-    "closed_form_order",
-    "verify_theorem",
-    "GroupOrderReport",
-    "brute_force_order",
-    "tuple_transitivity_order",
-    "permutation_parity",
-    "family_generators",
-    "CapExceededError",
-    "NoClosedFormError",
-    "PositionGraph",
-    "SolutionSet",
-    "shortest_words",
-    "second_position_cycle",
-    "UnreachableError",
-    "DiagramOp",
-    "SpecialOrdering",
-    "TrickTranscript",
-    "predict_from_ends",
-    "trick_session",
-    "InvalidEndsError",
-    "ClosureViolationError",
-    "special",
-]
+#: The submodule each public name lives in.
+_HOMES = {
+    "MAX_DECK_SIZE": "deck",
+    "Card": "deck",
+    "Deck": "deck",
+    "Permutation": "deck",
+    "OrientedPermutation": "deck",
+    "apply_oriented": "deck",
+    "expand_staystack": "deck",
+    "contract_staystack": "deck",
+    "ShuffleLabError": "deck",
+    "NotStayStackError": "deck",
+    "Shuffle": "shuffles",
+    "Step": "shuffles",
+    "Word": "shuffles",
+    "Family": "shuffles",
+    "element": "shuffles",
+    "word_element": "shuffles",
+    "apply_word": "shuffles",
+    "element_order": "shuffles",
+    "route_top_to": "shuffles",
+    "horseshoe_position_step": "shuffles",
+    "is_staystack": "deck",
+    "parse_word": "shuffles",
+    "format_word": "shuffles",
+    "inout_text": "shuffles",
+    "StabilizerChain": "groups",
+    "schreier_sims": "groups",
+    "group_order": "groups",
+    "closed_form_order": "groups",
+    "verify_theorem": "groups",
+    "GroupOrderReport": "groups",
+    "brute_force_order": "groups",
+    "tuple_transitivity_order": "groups",
+    "permutation_parity": "groups",
+    "family_generators": "groups",
+    "CapExceededError": "groups",
+    "NoClosedFormError": "groups",
+    "PositionGraph": "elmsley",
+    "SolutionSet": "elmsley",
+    "shortest_words": "elmsley",
+    "second_position_cycle": "elmsley",
+    "UnreachableError": "elmsley",
+    "DiagramOp": "special",
+    "SpecialOrdering": "special",
+    "TrickTranscript": "special",
+    "predict_from_ends": "special",
+    "trick_session": "special",
+    "InvalidEndsError": "special",
+    "ClosureViolationError": "special",
+}
+_SUBMODULES = ("cli", "deck", "elmsley", "groups", "shuffles", "special")
+
+__all__ = [*_HOMES, "special"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES, *_SUBMODULES})

@@ -3,19 +3,22 @@
 Exit codes: 0 success, 1 domain error (or verification mismatch),
 2 usage error.  Output is deterministic and newline-terminated; every
 command also takes ``--json`` for a structured equivalent.
+
+Start-up imports only ``deck`` and ``shuffles``, which ``apply``,
+``order`` and ``route`` need.  The other commands load their module,
+``groups``, ``elmsley`` or ``special``, when they first call it, and
+``json`` loads only under ``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from importlib import import_module
 from typing import Optional, Sequence
 
 from .deck import Deck, ShuffleLabError
-from .elmsley import shortest_words
-from .groups import closed_form_order, factored, group_order, verify_theorem
 from .shuffles import (
     POSITION_FAMILIES,
     Family,
@@ -27,12 +30,38 @@ from .shuffles import (
     parse_word,
     route_top_to,
 )
-from .special import DiagramOp, card_name, card_value, generate, predict_from_ends
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``module.name`` that imports the module when first called.
+
+    The name is looked up on its module at every call, and the handlers
+    look the stand-in up on this module at every call, so a wrapper put
+    in either place sees each call.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+closed_form_order = _deferred("groups", "closed_form_order")
+group_order = _deferred("groups", "group_order")
+verify_theorem = _deferred("groups", "verify_theorem")
+shortest_words = _deferred("elmsley", "shortest_words")
+predict_from_ends = _deferred("special", "predict_from_ends")
+generate = _deferred("special", "generate")
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
+    if args.json:
+        import json
+
+        text = json.dumps(payload, sort_keys=True)
     # flushed here, so that a closed pipe raises inside ``main``, not at exit
-    print(json.dumps(payload, sort_keys=True) if args.json else text, flush=True)
+    print(text, flush=True)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -72,6 +101,8 @@ def _cmd_group_order(args: argparse.Namespace) -> int:
     payload: dict = {"family": family.value, "size": args.size, "order": order}
     order_text = str(order)
     if args.factored:
+        from .groups import factored
+
         payload["order_factored"] = factored(order)
         order_text += f" = {payload['order_factored']}"
     if not args.check:
@@ -136,6 +167,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_trick(args: argparse.Namespace) -> int:
+    from .special import card_name, card_value
+
     left = card_value(args.left, args.k)
     right = card_value(args.right, args.k)
     ordering = predict_from_ends(args.k, left, right)
@@ -150,9 +183,11 @@ def _cmd_trick(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
+    from .special import DiagramOp
+
     start = DiagramOp.parse(args.start)
     ordering = generate(args.k, args.first, start)
-    _emit(args, " ".join(str(v) for v in ordering.values), ordering.to_dict())
+    _emit(args, ordering.text(), ordering.to_dict())
     return 0
 
 

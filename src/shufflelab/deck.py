@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from operator import xor
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -69,11 +68,52 @@ def _is_flags(values: Sequence[object]) -> bool:
 
 
 def _unchecked(cls: type, *values: object):
-    """Build a frozen dataclass from values known to be valid, skipping checks."""
+    """Build a record from values known to be valid, skipping ``__init__``'s checks."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
+    for name, value in zip(cls.__slots__, values):
         object.__setattr__(obj, name, value)
     return obj
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record names its fields in ``__slots__`` and writes out its
+    ``__init__`` and ``__eq__``.  ``__init__`` stores each field with
+    ``object.__setattr__`` and then, where the values need checking,
+    calls ``self.__post_init__()``, looked up on the class at call time.
+    ``__eq__`` compares the tuple of fields, and only with a record of
+    the same class, so a field both share compares by identity.  Written
+    out, both cost what a frozen dataclass's generated ones cost, and
+    nothing imports ``dataclasses``.  This base hashes and shows a
+    record by its fields, refuses assignment and deletion, and copies
+    and pickles through ``_unchecked``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # a class body that defines __eq__ sets __hash__ to None: hash by field
+        cls.__hash__ = _Record.__hash__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _unchecked, (type(self), *self._values())
 
 
 class NotStayStackError(ShuffleLabError):
@@ -103,14 +143,23 @@ def parse_card(token: str) -> Card:
     return Card(label, face_up)
 
 
-@dataclass(frozen=True)
-class Deck:
+class Deck(_Record):
     """An even-sized deck of cards, index 0 on top.
 
     Cards are ``(label[, face_up])`` tuples: labels 0..size-1, bool flags.
     """
 
+    __slots__ = ("cards",)
     cards: tuple[Card, ...]
+
+    def __init__(self, cards: tuple[Card, ...]) -> None:
+        object.__setattr__(self, "cards", cards)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.cards,) == (other.cards,)
+        return NotImplemented
 
     def __post_init__(self) -> None:
         try:
@@ -185,11 +234,20 @@ def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A bijection on 0..m-1; ``images[p]`` is where position p's card goes."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.images,) == (other.images,)
+        return NotImplemented
 
     def __post_init__(self) -> None:
         images = tuple(self.images) if isinstance(self.images, Iterable) else None
@@ -226,16 +284,26 @@ class Permutation:
         return math.lcm(*(len(c) for c in self.cycles())) if self.degree else 1
 
 
-@dataclass(frozen=True)
-class OrientedPermutation:
+class OrientedPermutation(_Record):
     """A permutation of positions plus per-position turn-over flags.
 
     ``flips[p]`` says whether the card leaving position p is turned
     over.  Flags compose by exclusive-or along trajectories.
     """
 
+    __slots__ = ("perm", "flips")
     perm: Permutation
     flips: tuple[bool, ...]
+
+    def __init__(self, perm: Permutation, flips: tuple[bool, ...]) -> None:
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "flips", flips)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.perm, self.flips) == (other.perm, other.flips)
+        return NotImplemented
 
     def __post_init__(self) -> None:
         if not isinstance(self.perm, Permutation):

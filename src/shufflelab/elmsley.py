@@ -3,19 +3,18 @@
 A single card's trajectory under in and out shuffles only depends on
 its position, so each family induces a little directed graph on the
 positions with out-degree two.  One breadth-first search backwards
-from the target, along the inverse shuffles, gives every position's
-distance to it; that answers the classic question of moving the card
-at position i to the top (or anywhere else) in as few shuffles as
-possible, and a depth-first walk down those distances enumerates *all*
-minimal words, not just one.
+from the target, along the inverse shuffles, gives each position's
+distance to it, up to the source's; that answers the classic question
+of moving the card at position i to the top (or anywhere else) in as
+few shuffles as possible, and a depth-first walk down those distances
+enumerates *all* minimal words, not just one.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from itertools import islice, repeat
 
-from .deck import ShuffleLabError, _inverse
+from .deck import ShuffleLabError, _inverse, _Record
 from .shuffles import (
     POSITION_FAMILIES,
     Family,
@@ -36,14 +35,33 @@ class UnreachableError(ShuffleLabError):
     """No word of shuffles connects the two positions (defensive)."""
 
 
-@dataclass(frozen=True)
-class PositionGraph:
+class PositionGraph(_Record):
     """Where each position goes under one in or one out shuffle."""
 
+    __slots__ = ("size", "family", "in_images", "out_images")
     size: int
     family: Family
     in_images: tuple[int, ...]
     out_images: tuple[int, ...]
+
+    def __init__(
+        self,
+        size: int,
+        family: Family,
+        in_images: tuple[int, ...],
+        out_images: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "in_images", in_images)
+        object.__setattr__(self, "out_images", out_images)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.size, self.family, self.in_images, self.out_images) == (
+                other.size, other.family, other.in_images, other.out_images
+            )
+        return NotImplemented
 
     @classmethod
     def build(cls, size: int, family: Family) -> "PositionGraph":
@@ -60,16 +78,51 @@ class PositionGraph:
         )
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Record):
     """All minimal in/out words from source to target, sorted in < out."""
 
+    __slots__ = ("size", "family", "source", "target", "length", "words")
     size: int
     family: Family
     source: int
     target: int
     length: int
     words: tuple[Word, ...]
+
+    def __init__(
+        self,
+        size: int,
+        family: Family,
+        source: int,
+        target: int,
+        length: int,
+        words: tuple[Word, ...],
+    ) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "words", words)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.size,
+                self.family,
+                self.source,
+                self.target,
+                self.length,
+                self.words,
+            ) == (
+                other.size,
+                other.family,
+                other.source,
+                other.target,
+                other.length,
+                other.words,
+            )
+        return NotImplemented
 
     def render(self) -> str:
         return "\n".join(inout_text(w) for w in self.words)
@@ -89,11 +142,16 @@ def shortest_words(size: int, family: Family, source: int, target: int) -> Solut
     """Every minimal in/out word moving ``source`` to ``target``.
 
     One breadth-first search from the target along the inverse in and
-    out shuffles gives each position's distance to the target, the
-    source's being the minimal length.  A step lies on a minimal word
-    exactly when it lowers that distance by one, so a depth-first walk
-    from the source along such steps (in before out) lists the words
-    in lexicographic order.  More than ``MAX_WORDS`` words raise instead.
+    out shuffles finds the rings of positions at distance 0, 1, ... from
+    the target, and stops at the source's ring, whose distance is the
+    minimal length.  It runs one ring per step in C: each inverse
+    shuffle's images of the ring go into a dict with one ``update``, and
+    since an update of a present key does not move it, the next ring is
+    the keys the step appended, read from the dict's end.  A step lies
+    on a minimal word exactly when it lowers the distance by one, so a
+    depth-first walk from the source along steps into the next ring (in
+    before out) lists the words in lexicographic order.  More than
+    ``MAX_WORDS`` words raise instead.
     """
     graph = PositionGraph.build(size, family)
     if not (0 <= source < size and 0 <= target < size):
@@ -101,21 +159,20 @@ def shortest_words(size: int, family: Family, source: int, target: int) -> Solut
             f"positions must lie in 0..{size - 1}, got {source}, {target}"
         )
     in_kind, out_kind = family_in_out(family)
-    in_back, out_back = _inverse(graph.in_images), _inverse(graph.out_images)
-    backward = [-1] * size
-    backward[target] = 0
-    queue = deque([target])
-    while queue:
-        q = queue.popleft()
-        for p in (in_back[q], out_back[q]):
-            if backward[p] < 0:
-                backward[p] = backward[q] + 1
-                queue.append(p)
-    total = backward[source]
-    if total < 0:
-        raise UnreachableError(
-            f"position {target} unreachable from {source} at size {size}"
-        )
+    in_back = _inverse(graph.in_images).__getitem__
+    out_back = _inverse(graph.out_images).__getitem__
+    seen = {target: None}
+    rings = [{target}]
+    while source not in seen:
+        before = len(seen)
+        for back in (in_back, out_back):
+            seen.update(zip(map(back, rings[-1]), repeat(None)))
+        if len(seen) == before:
+            raise UnreachableError(
+                f"position {target} unreachable from {source} at size {size}"
+            )
+        rings.append(set(islice(reversed(seen), len(seen) - before)))
+    total = len(rings) - 1
 
     words: list[Word] = []
     stack: list[Step] = []
@@ -133,7 +190,7 @@ def shortest_words(size: int, family: Family, source: int, target: int) -> Solut
             (in_kind, graph.in_images[p]),
             (out_kind, graph.out_images[p]),
         ):
-            if backward[q] == total - depth - 1:
+            if q in rings[total - depth - 1]:
                 stack.append(Step(kind))
                 walk(q, depth + 1)
                 stack.pop()

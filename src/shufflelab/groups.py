@@ -26,7 +26,6 @@ import math
 import os
 import random
 from collections import deque
-from dataclasses import asdict, dataclass
 from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
@@ -36,6 +35,7 @@ from .deck import (
     ShuffleLabError,
     _cycles,
     _inverse,
+    _Record,
     _unchecked,
     check_deck_size,
 )
@@ -673,10 +673,22 @@ def factored(n: int) -> str:
     return " * ".join(parts)
 
 
-@dataclass(frozen=True)
-class GroupOrderReport:
-    """One verification row: computed order vs the closed form."""
+class GroupOrderReport(_Record):
+    """One verification row: computed order vs the closed form.
 
+    A family that is not a ``Family`` is refused when the row is built.
+    """
+
+    __slots__ = (
+        "family",
+        "size",
+        "computed",
+        "closed_form",
+        "case",
+        "factored",
+        "match",
+        "error",
+    )
     family: Family
     size: int
     computed: Optional[int]
@@ -684,7 +696,51 @@ class GroupOrderReport:
     case: Optional[str]
     factored: Optional[str]
     match: bool
-    error: Optional[str] = None
+    error: Optional[str]
+
+    def __init__(
+        self,
+        family: Family,
+        size: int,
+        computed: Optional[int],
+        closed_form: Optional[int],
+        case: Optional[str],
+        factored: Optional[str],
+        match: bool,
+        error: Optional[str] = None,
+    ) -> None:
+        check_family(family)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "factored", factored)
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "error", error)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.family,
+                self.size,
+                self.computed,
+                self.closed_form,
+                self.case,
+                self.factored,
+                self.match,
+                self.error,
+            ) == (
+                other.family,
+                other.size,
+                other.computed,
+                other.closed_form,
+                other.case,
+                other.factored,
+                other.match,
+                other.error,
+            )
+        return NotImplemented
 
     def line(self) -> str:
         if self.error is not None:
@@ -698,7 +754,8 @@ class GroupOrderReport:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "family": self.family.value}
+        fields = dict(zip(self.__slots__, self._values()))
+        return {**fields, "family": self.family.value}
 
 
 def verify_theorem(family: Family, sizes: Iterable[int]) -> list[GroupOrderReport]:

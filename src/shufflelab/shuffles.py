@@ -28,7 +28,6 @@ left to right.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from typing import Sequence, Union
@@ -38,6 +37,7 @@ from .deck import (
     OrientedPermutation,
     Permutation,
     ShuffleLabError,
+    _Record,
     _unchecked,
     apply_oriented,
     check_deck_size,
@@ -68,12 +68,21 @@ class Shuffle(Enum):
 _BY_TOKEN = {kind.value: kind for kind in Shuffle}
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(_Record):
     """One shuffle in a word, possibly inverted (the dealt-out undo)."""
 
+    __slots__ = ("shuffle", "inverted")
     shuffle: Shuffle
-    inverted: bool = False
+    inverted: bool
+
+    def __init__(self, shuffle: Shuffle, inverted: bool = False) -> None:
+        object.__setattr__(self, "shuffle", shuffle)
+        object.__setattr__(self, "inverted", inverted)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.shuffle, self.inverted) == (other.shuffle, other.inverted)
+        return NotImplemented
 
     @classmethod
     def parse(cls, token: str) -> "Step":

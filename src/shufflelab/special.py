@@ -22,10 +22,18 @@ forced, working from the outside in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
+from operator import xor
 from typing import Optional, Sequence
 
-from .deck import MAX_DECK_SIZE, Deck, ShuffleLabError, _decimal, _is_arrangement
+from .deck import (
+    MAX_DECK_SIZE,
+    Deck,
+    ShuffleLabError,
+    _decimal,
+    _is_arrangement,
+    _Record,
+)
 from .shuffles import Shuffle, Word, WordLike, apply_word, as_word
 
 MAX_K = MAX_DECK_SIZE.bit_length() - 1
@@ -52,14 +60,22 @@ class ClosureViolationError(ShuffleLabError):
     """A trick-alphabet word left the special orderings (engine bug)."""
 
 
-@dataclass(frozen=True)
-class DiagramOp:
+class DiagramOp(_Record):
     """One doubling operation: flip a single bit, or complement all bits.
 
     ``bit`` is None for the complement.  Both are involutions.
     """
 
+    __slots__ = ("bit",)
     bit: Optional[int]
+
+    def __init__(self, bit: Optional[int]) -> None:
+        object.__setattr__(self, "bit", bit)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.bit,) == (other.bit,)
+        return NotImplemented
 
     @classmethod
     def flip_bit(cls, j: int) -> "DiagramOp":
@@ -106,22 +122,50 @@ def _check_value(value: int, k: int, what: str) -> None:
         raise ShuffleLabError(f"{what} {value} out of range for k={k}")
 
 
-@dataclass(frozen=True)
-class SpecialOrdering:
+class SpecialOrdering(_Record):
     """A doubling-generated ordering of all 2^k values."""
 
+    __slots__ = ("k", "first", "start", "values")
     k: int
     first: int
     start: DiagramOp
     values: tuple[int, ...]
+
+    def __init__(
+        self,
+        k: int,
+        first: int,
+        start: DiagramOp,
+        values: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.k, self.first, self.start, self.values) == (
+                other.k, other.first, other.start, other.values
+            )
+        return NotImplemented
 
     def skipped(self) -> DiagramOp:
         """The one cycle operation the generation never used."""
         cycle = diagram_cycle(self.k)
         return cycle[(cycle.index(self.start) - 1) % len(cycle)]
 
+    def text(self) -> str:
+        """The values in decimal, space-separated."""
+        return _spaced(self.values)
+
     def display(self) -> str:
-        return " ".join(card_name(v, self.k) for v in self.values)
+        """The values as ``card_name`` shows them, space-separated."""
+        shown = list(self.values)
+        # every value occurs once, and only cards 0 and 1 have names of their own
+        shown[shown.index(0)] = card_name(0, self.k)
+        shown[shown.index(1)] = card_name(1, self.k)
+        return _spaced(shown)
 
     def to_dict(self) -> dict:
         """JSON form: keys ``k``, ``first``, ``start``, ``values``, ``display``."""
@@ -134,6 +178,16 @@ class SpecialOrdering:
         }
 
 
+def _spaced(values: Sequence[object]) -> str:
+    """The values' ``str`` forms, space-separated.
+
+    One ``%`` format runs in C over all the values; on CPython 3.11 it
+    is faster than calling ``str`` per value, through ``map`` or in a
+    generator.
+    """
+    return " ".join(["%s"] * len(values)) % tuple(values)
+
+
 def generate(k: int, first: int, start: DiagramOp) -> SpecialOrdering:
     """Grow the ordering from ``first`` using k cycle ops from ``start``."""
     _check_k(k)
@@ -144,8 +198,8 @@ def generate(k: int, first: int, start: DiagramOp) -> SpecialOrdering:
     index = cycle.index(start)
     values = [first]
     for stage in range(k):
-        op = cycle[(index + stage) % len(cycle)]
-        values.extend(op.apply(v, k) for v in values[:])
+        mask = cycle[(index + stage) % len(cycle)].mask(k)
+        values += list(map(xor, values, repeat(mask)))
     return SpecialOrdering(k, first, start, tuple(values))
 
 
@@ -225,15 +279,36 @@ def card_value(token: str, k: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class TrickTranscript:
+class TrickTranscript(_Record):
     """Record of one outside-in performance: reveals, then the ordering."""
 
+    __slots__ = ("k", "word", "values", "ordering", "lines")
     k: int
     word: Word
     values: tuple[int, ...]
     ordering: SpecialOrdering
     lines: tuple[str, ...]
+
+    def __init__(
+        self,
+        k: int,
+        word: Word,
+        values: tuple[int, ...],
+        ordering: SpecialOrdering,
+        lines: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "lines", lines)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.k, self.word, self.values, self.ordering, self.lines) == (
+                other.k, other.word, other.values, other.ordering, other.lines
+            )
+        return NotImplemented
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"

@@ -3,7 +3,8 @@
 Everything here works on plain (label, face_up) tuples and mimics the
 table procedures move by move, with no reference to the library's
 permutation machinery.  ``orbit`` is a plain set-based breadth-first
-search for the group oracles.
+search for the group oracles, and ``minimal_words`` a plain queue-based
+one for the shortest-word search.
 """
 
 from collections import deque
@@ -105,6 +106,48 @@ def card_position(size, mode, start):
     """Index where one shuffle of the sorted deck sends position ``start``."""
     shuffled = cut_interlace(face_down_range(size), mode)
     return [label for (label, _) in shuffled].index(start)
+
+
+def position_table(size, mode):
+    """Where one shuffle of the sorted deck sends each position."""
+    table = [0] * size
+    for index, (label, _) in enumerate(cut_interlace(face_down_range(size), mode)):
+        table[label] = index
+    return table
+
+
+def minimal_words(tables, source, target):
+    """(length, words) of every shortest word moving ``source`` to ``target``.
+
+    ``tables[letter][p]`` is where that letter sends position p.  A queue
+    search back from the target, one position at a time, gives each
+    position's distance to it; a depth-first walk from the source along
+    letters that lower the distance by one lists the words, as tuples of
+    letters, in lexicographic order.
+    """
+    backward = [[0] * len(table) for table in tables]
+    for table, back in zip(tables, backward):
+        for p, q in enumerate(table):
+            back[q] = p
+    distance = {target: 0}
+    queue = deque([target])
+    while queue:
+        q = queue.popleft()
+        for back in backward:
+            if back[q] not in distance:
+                distance[back[q]] = distance[q] + 1
+                queue.append(back[q])
+    words = []
+
+    def walk(p, word):
+        if p == target:
+            words.append(word)
+        for letter, table in enumerate(tables):
+            if distance[table[p]] == distance[p] - 1:
+                walk(table[p], word + (letter,))
+
+    walk(source, ())
+    return distance[source], words
 
 
 def repetition_order(step, start):

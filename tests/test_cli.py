@@ -408,3 +408,103 @@ def test_a_bad_size_in_a_size_list_is_an_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: bad size list '8,x'\n"
+
+
+# -- start-up: what each command loads, and the names a tracer wraps ----------
+
+#: Modules that ``apply``, ``order`` and ``route`` never need.
+DEFERRED = ("shufflelab.groups", "shufflelab.special", "shufflelab.elmsley", "dataclasses", "json")
+
+#: Runs one command in a fresh process, then prints the modules of DEFERRED
+#: it loaded that were not loaded before shufflelab was imported.
+FOOTPRINT_PROBE = """
+import sys
+before = set(sys.modules)
+from shufflelab.cli import main
+main(sys.argv[2:])
+loaded = [m for m in sys.argv[1].split(",") if m in sys.modules and m not in before]
+print(",".join(loaded), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["apply", "--size", "8", "--word", "faro-in, inv:milk"], ()),
+        (["order", "--size", "8", "--word", "flip-out"], ()),
+        (["route", "--size", "8", "--family", "horse", "--to", "5"], ()),
+        (["apply", "--size", "8", "--word", "faro-in", "--json"], ("json",)),
+        (["group-order", "--family", "faro", "--size", "8", "--check"], ("shufflelab.groups",)),
+        (["verify", "--family", "horse", "--sizes", "4,6"], ("shufflelab.groups",)),
+        (["elmsley", "--size", "8", "--family", "faro", "--from", "3"], ("shufflelab.elmsley",)),
+        (["trick", "--k", "3", "--left", "4", "--right", "6"], ("shufflelab.special",)),
+        (["diagram", "--k", "3", "--first", "1", "--start", "bit0"], ("shufflelab.special",)),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, loads):
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, ",".join(DEFERRED), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == ",".join(loads)
+
+
+LAZY_PACKAGE_PROBE = """
+import json, sys
+import shufflelab
+bare = sorted(m for m in sys.modules if m.startswith("shufflelab."))
+star = {}
+exec("from shufflelab import *", star)
+missing = [name for name in shufflelab.__all__ if name not in star]
+same = all(star[name] is getattr(shufflelab, name) for name in shufflelab.__all__)
+modules = [shufflelab.groups.__name__, shufflelab.special.__name__]
+print(json.dumps([bare, missing, same, modules]))
+"""
+
+
+def test_the_package_resolves_its_names_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PACKAGE_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    bare, missing, same, modules = json.loads(proc.stdout)
+    assert bare == []
+    assert missing == []
+    assert same
+    assert modules == ["shufflelab.groups", "shufflelab.special"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("apply_word", ["apply", "--size", "8", "--word", "faro-in"]),
+        ("element_order", ["order", "--size", "8", "--word", "faro-in"]),
+        ("route_top_to", ["route", "--size", "8", "--family", "faro", "--to", "3"]),
+        ("group_order", ["group-order", "--family", "faro", "--size", "8"]),
+        ("closed_form_order", ["group-order", "--family", "faro", "--size", "8", "--check"]),
+        ("verify_theorem", ["verify", "--family", "faro", "--sizes", "8"]),
+        ("shortest_words", ["elmsley", "--size", "8", "--family", "faro", "--from", "3"]),
+        ("predict_from_ends", ["trick", "--k", "3", "--left", "4", "--right", "6"]),
+        ("generate", ["diagram", "--k", "3", "--first", "1", "--start", "bit0"]),
+    ],
+)
+def test_handlers_look_their_library_calls_up_on_cli_at_call_time(
+    capsys, monkeypatch, name, argv
+):
+    # a tracer wraps these names on ``cli`` and must see every call
+    import shufflelab.cli as cli
+
+    original = getattr(cli, name)
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, traced)
+    expected = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    assert calls == [name]
+    assert run_cli(capsys, *argv) == expected

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import permutations
 
@@ -16,7 +18,11 @@ from shufflelab.deck import (
     expand_staystack,
     is_staystack,
 )
-from shufflelab.shuffles import Shuffle, element
+from shufflelab.deck import _unchecked
+from shufflelab.elmsley import PositionGraph, shortest_words
+from shufflelab.groups import verify_theorem
+from shufflelab.shuffles import Family, Shuffle, Step, element
+from shufflelab.special import DiagramOp, trick_session
 
 
 def random_deck(rng, size):
@@ -363,3 +369,66 @@ def test_card_tokens_take_only_decimal_digits(token):
 def test_card_tokens_past_the_int_digit_limit_are_refused():
     with pytest.raises(ShuffleLabError, match="bad card token"):
         Deck.parse("1" * 5000 + " 0")
+
+
+# -- records ------------------------------------------------------------------
+
+
+def test_public_constructors_check_through_post_init_and_unchecked_does_not(monkeypatch):
+    # a tracer counts validations by wrapping ``__post_init__`` on the class
+    calls = []
+    for cls in (Deck, Permutation, OrientedPermutation):
+
+        def counted(self, original=cls.__post_init__):
+            calls.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    perm = Permutation((1, 0, 3, 2))
+    op = OrientedPermutation(perm, (False, True, False, False))
+    deck = Deck(((2, False), (0, True), (3, False), (1, False)))
+    Deck.parse("~1 0 3 2")
+    assert calls == ["Permutation", "OrientedPermutation", "Deck", "Deck"]
+    calls.clear()
+    _unchecked(Permutation, (1, 0))
+    Permutation.identity(4).then(perm).inverse()
+    op.then(OrientedPermutation.identity(4)).inverse().to_point_permutation()
+    contract_staystack(expand_staystack(apply_oriented(op, deck)))
+    Deck.identity(4)
+    assert calls == []
+
+
+def records():
+    """One record of every kind, each built twice from equal but distinct values."""
+    yield lambda: Deck(tuple(Card(x) for x in (1, 0)))
+    yield lambda: Permutation(tuple([1, 0]))
+    yield lambda: OrientedPermutation(Permutation((1, 0)), tuple([True, False]))
+    yield lambda: Step(Shuffle.MILK, True)
+    yield lambda: DiagramOp(3)
+    yield lambda: shortest_words(10, Family.HORSESHOE, 2, 0)
+    yield lambda: trick_session(3, [Step(Shuffle.MILK)])
+    yield lambda: trick_session(3, [Step(Shuffle.MILK)]).ordering
+    yield lambda: verify_theorem(Family.FARO, [8])[0]
+    yield lambda: PositionGraph.build(8, Family.FARO)
+
+
+@pytest.mark.parametrize("build", list(records()))
+def test_records_are_values_that_refuse_assignment(build):
+    record, twin = build(), build()
+    fields = type(record).__slots__
+    values = tuple(getattr(record, name) for name in fields)
+    assert record is not twin and record == twin and not record != twin
+    assert hash(record) == hash(twin) == hash(values)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(record) == f"{type(record).__name__}({shown})"
+    assert record != values and record != object()
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 1
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -225,3 +226,24 @@ def test_minimal_words_match_exhaustive_enumeration(family):
                     for word in solutions.words
                 ]
                 assert found == words
+
+
+@pytest.mark.parametrize("family", [Family.FARO, Family.HORSESHOE])
+def test_ring_search_matches_a_plain_queue_search(family):
+    rng = random.Random(f"rings:{family.value}")
+    prefix = "faro" if family is Family.FARO else "horse"
+    out_kind = family_in_out(family)[1]
+    # below powers of two, some pairs have more than one minimal word
+    for size in [1 << k for k in range(6, 13)] + [100, 1000]:
+        tables = [oracles.position_table(size, f"{prefix}-{mode}") for mode in ("in", "out")]
+        pairs = [rng.sample(range(size), 2) for _ in range(6)]
+        pairs += [(p, p) for p in rng.sample(range(size), 2)]
+        for source, target in pairs:
+            length, words = oracles.minimal_words(tables, source, target)
+            solutions = shortest_words(size, family, source, target)
+            assert solutions.length == length, (size, source, target)
+            found = [
+                tuple(int(step.shuffle is out_kind) for step in word)
+                for word in solutions.words
+            ]
+            assert found == words, (size, source, target)

@@ -15,6 +15,7 @@ from shufflelab.deck import Permutation, ShuffleLabError
 from shufflelab.elmsley import PositionGraph, shortest_words
 from shufflelab.groups import (
     CapExceededError,
+    GroupOrderReport,
     NoClosedFormError,
     StabilizerChain,
     brute_force_order,
@@ -597,6 +598,7 @@ def test_a_family_that_is_not_a_family_is_refused(family):
         lambda f, size: route_top_to(1, size, f),
         lambda f, size: PositionGraph.build(size, f),
         lambda f, size: shortest_words(size, f, 1, 0),
+        lambda f, size: GroupOrderReport(f, size, 24, 24, "x", "2^3 * 3", True),
     ]
     for call in calls:
         with pytest.raises(ShuffleLabError) as refused:

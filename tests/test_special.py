@@ -108,6 +108,22 @@ def test_generation_count_matches_group_order():
             assert len(orderings) == group_order(Family.HORSESHOE, 1 << k)
 
 
+def test_generation_and_its_texts_match_one_value_at_a_time():
+    # the doubling applied value by value, and the texts joined card by card
+    for k in range(1, 11):
+        cycle = diagram_cycle(k)
+        for first in sorted({0, 1, (1 << k) - 1}):
+            for index, start in enumerate(cycle):
+                values = [first]
+                for stage in range(k):
+                    op = cycle[(index + stage) % len(cycle)]
+                    values += [op.apply(v, k) for v in values]
+                ordering = generate(k, first, start)
+                assert ordering.values == tuple(values)
+                assert ordering.text() == " ".join(str(v) for v in values)
+                assert ordering.display() == " ".join(card_name(v, k) for v in values)
+
+
 # -- recognition --------------------------------------------------------------
 
 
