@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from shufflelab import cli
 from shufflelab.cli import main
 from shufflelab.deck import Deck
 
@@ -494,8 +495,6 @@ def test_handlers_look_their_library_calls_up_on_cli_at_call_time(
     capsys, monkeypatch, name, argv
 ):
     # a tracer wraps these names on ``cli`` and must see every call
-    import shufflelab.cli as cli
-
     original = getattr(cli, name)
     calls = []
 
