@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from importlib import import_module
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .deck import Deck, ShuffleLabError
 from .shuffles import (
@@ -55,11 +55,12 @@ predict_from_ends = _deferred("special", "predict_from_ends")
 generate = _deferred("special", "generate")
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
+def _emit(args: argparse.Namespace, text: str, payload: Callable[[], dict]) -> None:
+    """Print ``text``, or under ``--json`` the payload, built only then."""
     if args.json:
         import json
 
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(payload(), sort_keys=True)
     # flushed here, so that a closed pipe raises inside ``main``, not at exit
     print(text, flush=True)
 
@@ -80,7 +81,9 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     if deck.size != args.size:
         raise ShuffleLabError(f"--deck has size {deck.size}, --size says {args.size}")
     text = str(apply_word(word, deck))
-    _emit(args, text, {"size": args.size, "word": format_word(word), "deck": text})
+    _emit(
+        args, text, lambda: {"size": args.size, "word": format_word(word), "deck": text}
+    )
     return 0
 
 
@@ -90,7 +93,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
     _emit(
         args,
         str(order),
-        {"size": args.size, "word": format_word(word), "order": order},
+        lambda: {"size": args.size, "word": format_word(word), "order": order},
     )
     return 0
 
@@ -106,7 +109,7 @@ def _cmd_group_order(args: argparse.Namespace) -> int:
         payload["order_factored"] = factored(order)
         order_text += f" = {payload['order_factored']}"
     if not args.check:
-        _emit(args, order_text, payload)
+        _emit(args, order_text, lambda: payload)
         return 0
     closed = closed_form_order(family, args.size)
     match = order == closed.value
@@ -123,7 +126,7 @@ def _cmd_group_order(args: argparse.Namespace) -> int:
         f"closed-form: {closed.value} = {closed.factored} [{closed.case}]",
         f"match: {'yes' if match else 'no'}",
     ]
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, "\n".join(lines), lambda: payload)
     return 0 if match else 1
 
 
@@ -134,7 +137,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _emit(
         args,
         "\n".join(r.line() for r in reports),
-        {
+        lambda: {
             "family": family.value,
             "reports": [r.to_dict() for r in reports],
             "all_match": all_match,
@@ -146,7 +149,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_elmsley(args: argparse.Namespace) -> int:
     family = Family.parse(args.family)
     solutions = shortest_words(args.size, family, args.source, args.to)
-    _emit(args, solutions.render(), solutions.to_dict())
+    _emit(args, solutions.render(), solutions.to_dict)
     return 0
 
 
@@ -156,7 +159,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     _emit(
         args,
         inout_text(word),
-        {
+        lambda: {
             "size": args.size,
             "family": family.value,
             "to": args.to,
@@ -172,13 +175,16 @@ def _cmd_trick(args: argparse.Namespace) -> int:
     left = card_value(args.left, args.k)
     right = card_value(args.right, args.k)
     ordering = predict_from_ends(args.k, left, right)
-    payload = {
-        **ordering.to_dict(),
-        "left": card_name(left, args.k),
-        "right": card_name(right, args.k),
-        "skipped": str(ordering.skipped()),
-    }
-    _emit(args, payload["display"], payload)
+    _emit(
+        args,
+        ordering.display(),
+        lambda: {
+            **ordering.to_dict(),
+            "left": card_name(left, args.k),
+            "right": card_name(right, args.k),
+            "skipped": str(ordering.skipped()),
+        },
+    )
     return 0
 
 
@@ -187,7 +193,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 
     start = DiagramOp.parse(args.start)
     ordering = generate(args.k, args.first, start)
-    _emit(args, ordering.text(), ordering.to_dict())
+    _emit(args, ordering.text(), ordering.to_dict)
     return 0
 
 

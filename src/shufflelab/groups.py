@@ -13,7 +13,8 @@ the order, the classical Schreier-Sims scan completes the chain, and
 ``group_order`` checks a scanned order within ``BRUTE_FORCE_LIMIT``
 against a brute-force enumeration of the group (``_orbit_size``).  The
 test suite checks both kinds against the enumeration over every family
-and even size up to the default size cap.  All arithmetic is exact
+at every even size up to 40 and the powers of two within the chain
+budget, ``MAX_CHAIN_POINTS``.  All arithmetic is exact
 Python integers; the orders here overflow 64 bits already at twenty
 cards.  Permutations inside the chain are plain image tuples, and the
 product ``_mul(p, q)``, one ``itemgetter`` call, applies p, then q.  The
@@ -23,7 +24,6 @@ closed forms of the order theorems are tabulated for verification runs.
 from __future__ import annotations
 
 import math
-import os
 import random
 from collections import deque
 from itertools import count, islice, repeat
@@ -41,35 +41,21 @@ from .deck import (
 )
 from .shuffles import Family, check_family, element, family_in_out
 
-#: Deck-size cap for chain computations, overridable via SHUFFLELAB_SIZE_CAP.
-DEFAULT_SIZE_CAP = 40
+#: Point budget of every stabilizer chain: generators on more points are
+#: refused before any product.  Faro and horseshoe act on one point per card
+#: and reach 256 cards; flip acts on two and reaches 128.
+MAX_CHAIN_POINTS = 256
 #: State budget of every orbit search: the default limit of both oracles, and
 #: the largest scanned-chain order that ``group_order`` enumerates.
 BRUTE_FORCE_LIMIT = 10**6
 
 
 class CapExceededError(ShuffleLabError):
-    """A configured size or node cap refused the computation."""
+    """A size or node cap refused the computation."""
 
 
 class NoClosedFormError(ShuffleLabError):
     """No closed-form case of the order theorems covers this size."""
-
-
-def size_cap() -> int:
-    """The chain deck-size cap: SHUFFLELAB_SIZE_CAP if set, else the default."""
-    text = os.environ.get("SHUFFLELAB_SIZE_CAP")
-    if text is None:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 2:
-        raise ShuffleLabError(
-            f"SHUFFLELAB_SIZE_CAP must be an integer >= 2, got {text!r}"
-        )
-    return cap
 
 
 def family_generators(family: Family, size: int) -> list[Permutation]:
@@ -324,11 +310,20 @@ class StabilizerChain:
     in registration order.  The group order is the product of orbit
     sizes, and an element belongs to the group iff it sifts to the
     identity.
+
+    Generators on more than ``MAX_CHAIN_POINTS`` points are refused with
+    ``CapExceededError`` before any product: the coset tables grow about
+    as the cube of the degree.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
         gens = list(generators)
         self.degree = _common_degree(gens, degree)
+        if self.degree > MAX_CHAIN_POINTS:
+            raise CapExceededError(
+                f"group on {self.degree} points exceeds the chain budget"
+                f" of {MAX_CHAIN_POINTS} points"
+            )
         self._identity = tuple(range(self.degree))
         self._levels: list[_Level] = []
         for g in gens:
@@ -569,12 +564,6 @@ def group_order(family: Family, size: int) -> int:
     the enumeration oracle, and a disagreement raises.
     """
     check_deck_size(size)
-    cap = size_cap()
-    if size > cap:
-        raise CapExceededError(
-            f"deck size {size} exceeds size cap {cap}"
-            " (set SHUFFLELAB_SIZE_CAP to raise it)"
-        )
     generators = family_generators(family, size)
     chain = StabilizerChain(generators)
     order = chain.order
@@ -761,11 +750,11 @@ class GroupOrderReport(_Record):
 def verify_theorem(family: Family, sizes: Iterable[int]) -> list[GroupOrderReport]:
     """Compare computed group orders against the closed forms, per size.
 
-    Refusals (size caps, sizes with no closed-form case) become error
-    rows rather than aborting the run; a family that is not a ``Family``
-    is refused before the first row.  ``group_order`` runs first, so a
-    size it refuses gets its error text and never pays for the closed
-    form's factorial.
+    Refusals (the deck-size rule, the chain budget, sizes with no
+    closed-form case) become error rows rather than aborting the run; a
+    family that is not a ``Family`` is refused before the first row.
+    ``group_order`` runs first, so a size it refuses gets its error text
+    and never pays for the closed form's factorial.
     """
     check_family(family)
     reports = []

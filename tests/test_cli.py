@@ -250,9 +250,9 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "trick", "--k", "3", "--left", "4", "--right", "9")
     assert code == 1
-    code, _, err = run_cli(capsys, "group-order", "--family", "horse", "--size", "64")
+    code, _, err = run_cli(capsys, "group-order", "--family", "horse", "--size", "258")
     assert code == 1
-    assert "SHUFFLELAB_SIZE_CAP" in err
+    assert err == "error: group on 258 points exceeds the chain budget of 256 points\n"
 
 
 @pytest.mark.parametrize("size", ["7", "0", "-4"])
@@ -319,33 +319,6 @@ def test_a_closed_pipe_ends_quietly():
     assert proc.wait(timeout=60) == 1
     assert len(head) == 5
     assert b"Traceback" not in err
-
-
-def test_size_cap_env_var(monkeypatch):
-    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "64")
-    proc = subprocess.run(
-        [sys.executable, "-m", "shufflelab", "group-order", "--family", "horse", "--size", "44"],
-        capture_output=True,
-        text=True,
-        env=None,
-    )
-    # env=None inherits os.environ including the monkeypatched cap
-    assert proc.returncode == 0
-    import math
-
-    assert proc.stdout.strip() == str(math.factorial(44) // 2)
-
-
-def test_bad_size_cap_env_var_is_an_error_line(monkeypatch):
-    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "abc")
-    proc = subprocess.run(
-        [sys.executable, "-m", "shufflelab", "group-order", "--family", "faro", "--size", "8"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "error: SHUFFLELAB_SIZE_CAP must be an integer >= 2, got 'abc'\n"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 from shufflelab.cli import main
+from shufflelab.special import SpecialOrdering
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -29,7 +30,7 @@ COMMANDS = [
     ["group-order", "--family", "faro", "--size", "24", "--factored"],
     ["group-order", "--family", "flip", "--size", "6", "--check"],
     ["group-order", "--family", "faro", "--size", "12", "--factored", "--check"],
-    ["verify", "--family", "faro", "--sizes", "2,7,8,12,42"],
+    ["verify", "--family", "faro", "--sizes", "2,7,8,12,258"],
     ["verify", "--family", "flip", "--sizes", "4,6"],
     ["elmsley", "--size", "10", "--family", "faro", "--from", "3", "--to", "3"],
     ["elmsley", "--size", "52", "--family", "horse", "--from", "11"],
@@ -62,6 +63,17 @@ def test_golden_file_covers_every_case():
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_cli_output_matches_golden(argv):
+    assert run(argv) == load_golden()[tuple(argv)]
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in COMMANDS if argv[0] in ("trick", "diagram")], ids=" ".join
+)
+def test_text_output_builds_no_json_payload(monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("JSON payload built for text output")
+
+    monkeypatch.setattr(SpecialOrdering, "to_dict", refuse)
     assert run(argv) == load_golden()[tuple(argv)]
 
 

@@ -25,7 +25,6 @@ from shufflelab.groups import (
     group_order,
     permutation_parity,
     schreier_sims,
-    size_cap,
     tuple_transitivity_order,
     verify_theorem,
 )
@@ -505,25 +504,28 @@ def test_group_order_values():
     assert group_order(Family.FARO, 10) == 1920
 
 
-def test_group_order_respects_size_cap(monkeypatch):
-    with pytest.raises(CapExceededError):
-        group_order(Family.HORSESHOE, 42)
-    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "10")
-    with pytest.raises(CapExceededError):
-        group_order(Family.HORSESHOE, 12)
-    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "12")
-    assert group_order(Family.HORSESHOE, 12) == 95040
+def test_group_order_respects_size_cap():
+    # one budget in chain points: flip acts on two points per card, so it
+    # reaches half the deck size of the other families
+    assert groups.MAX_CHAIN_POINTS == 256
+    reached = ((Family.HORSESHOE, 256), (Family.FLIP, 128), (Family.FARO, 130))
+    for family, size in reached:
+        assert group_order(family, size) == closed_form_order(family, size).value
+    for family, size, points in ((Family.HORSESHOE, 258, 258), (Family.FLIP, 130, 260)):
+        text = f"group on {points} points exceeds the chain budget of 256 points"
+        with pytest.raises(CapExceededError, match=f"^{text}$"):
+            group_order(family, size)
 
 
-@pytest.mark.parametrize("value", ["abc", "", "12.5", "1", "0", "-40"])
-def test_bad_size_cap_is_a_shufflelab_error(monkeypatch, value):
-    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", value)
-    with pytest.raises(ShuffleLabError, match="SHUFFLELAB_SIZE_CAP"):
-        size_cap()
-    with pytest.raises(ShuffleLabError, match="SHUFFLELAB_SIZE_CAP"):
-        group_order(Family.FARO, 8)
-    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "2")
-    assert size_cap() == 2
+def test_the_chain_refuses_a_degree_above_the_budget_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the chain did work before refusing its degree")
+
+    monkeypatch.setattr(groups, "_order_bound", fail)
+    monkeypatch.setattr(StabilizerChain, "_register", fail)
+    make, degree, _ = BOUNDARY_GROUPS["300-cycle"]
+    with pytest.raises(CapExceededError, match=f"group on {degree} points exceeds"):
+        schreier_sims(make())
 
 
 #: Oracle runs per ``group_order`` call: none for a certified chain, whose
@@ -565,8 +567,8 @@ def test_a_scanned_order_the_enumeration_contradicts_is_refused(monkeypatch):
         group_order(Family.HORSESHOE, 12)
 
 
-#: Every even size up to the default cap, and the powers of two above it up
-#: to 256 cards (flip, on twice the points, to 128).
+#: Every even size up to 40, and the powers of two above it up to the chain
+#: budget: 256 cards (flip, on twice the points, to 128).
 EVIDENCE_SIZES = {
     family: [*range(2, 41, 2), *(1 << k for k in range(6, top + 1))]
     for family, top in ((Family.FARO, 8), (Family.HORSESHOE, 8), (Family.FLIP, 7))
@@ -574,11 +576,10 @@ EVIDENCE_SIZES = {
 
 
 @pytest.mark.parametrize("family", list(EVIDENCE_SIZES))
-def test_every_order_carries_its_evidence(monkeypatch, family):
+def test_every_order_carries_its_evidence(family):
     # The sweep that stands in for a runtime re-check of certified orders: a
     # certified order is the invariant bound, and every order within the
     # budget is the enumerated one.
-    monkeypatch.setenv("SHUFFLELAB_SIZE_CAP", "256")
     for size in EVIDENCE_SIZES[family]:
         gens = family_generators(family, size)
         chain = StabilizerChain(gens)
@@ -715,25 +716,28 @@ def test_verify_checks_the_cap_before_the_closed_form(monkeypatch):
     closed_form = groups.closed_form_order
 
     def capped_closed_form(family, size):
-        assert size <= size_cap(), f"closed form computed for refused size {size}"
+        assert size <= groups.MAX_CHAIN_POINTS, f"closed form for refused size {size}"
         return closed_form(family, size)
 
     monkeypatch.setattr(groups, "closed_form_order", capped_closed_form)
-    reports = verify_theorem(Family.HORSESHOE, [12, 42, 65534])
+    reports = verify_theorem(Family.HORSESHOE, [12, 258, 65534])
     assert [r.error is None for r in reports] == [True, False, False]
-    assert reports[2].error.startswith("deck size 65534 exceeds size cap 40")
+    assert reports[2].error == (
+        "group on 65534 points exceeds the chain budget of 256 points"
+    )
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_group_order_and_verify_refuse_a_size_with_one_text(family):
-    # the deck-size rule comes first, the size cap second
+    # the deck-size rule comes first, the chain budget second
+    points = 2 if family is Family.FLIP else 1
     texts = {
         0: "deck size must be even and >= 2, got 0",
         -2: "deck size must be even and >= 2, got -2",
         7: "deck size must be even and >= 2, got 7",
         41: "deck size must be even and >= 2, got 41",
-        42: "deck size 42 exceeds size cap 40",
-        65534: "deck size 65534 exceeds size cap 40",
+        258: f"group on {258 * points} points exceeds the chain budget of 256 points",
+        65534: f"group on {65534 * points} points exceeds the chain budget of 256 points",
         65538: "deck size 65538 exceeds cap 65536",
     }
     for size, text in texts.items():
