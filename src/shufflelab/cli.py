@@ -18,7 +18,7 @@ import sys
 from importlib import import_module
 from typing import Callable, Optional, Sequence
 
-from .deck import Deck, ShuffleLabError
+from .deck import Deck, ShuffleLabError, _decimal
 from .shuffles import (
     POSITION_FAMILIES,
     Family,
@@ -66,10 +66,10 @@ def _emit(args: argparse.Namespace, text: str, payload: Callable[[], dict]) -> N
 
 
 def _parse_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ShuffleLabError(f"bad size list {text!r}") from exc
+    """The sizes of a comma-separated list, each token read by ``deck._decimal``."""
+    sizes = [_decimal(t.strip()) for t in text.split(",") if t.strip()]
+    if None in sizes:
+        raise ShuffleLabError(f"bad size list {text!r}")
     if not sizes:
         raise ShuffleLabError(f"no sizes in size list {text!r}")
     return sizes

@@ -78,26 +78,39 @@ def _unchecked(cls: type, *values: object):
 class _Record:
     """Base of the package's immutable records.
 
-    A record names its fields in ``__slots__`` and writes out its
-    ``__init__`` and ``__eq__``.  ``__init__`` stores each field with
-    ``object.__setattr__`` and then, where the values need checking,
-    calls ``self.__post_init__()``, looked up on the class at call time.
-    ``__eq__`` compares the tuple of fields, and only with a record of
-    the same class, so a field both share compares by identity.  Written
-    out, both cost what a frozen dataclass's generated ones cost, and
-    nothing imports ``dataclasses``.  This base hashes and shows a
-    record by its fields, refuses assignment and deletion, and copies
-    and pickles through ``_unchecked``.
+    A record names its fields in ``__slots__`` and nothing else: this
+    base builds, compares, hashes, shows, copies and pickles it by them.
+    ``__init__`` takes one value per field, in slot order, stores each
+    with ``object.__setattr__`` and then calls ``self.__post_init__()``,
+    looked up on the class at call time; a record whose values need
+    checking overrides it, and the base's checks nothing.  ``__eq__``
+    compares the field values, and only with a record of the same
+    class.  Assignment and deletion are refused, and copies and pickles
+    go through ``_unchecked``, so nothing imports ``dataclasses``.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
-        # a class body that defines __eq__ sets __hash__ to None: hash by field
-        cls.__hash__ = _Record.__hash__
+    def __init__(self, *values: object) -> None:
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__qualname__} has fields {names}, got {len(values)} values"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the stored values; the base has nothing to check."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -151,15 +164,6 @@ class Deck(_Record):
 
     __slots__ = ("cards",)
     cards: tuple[Card, ...]
-
-    def __init__(self, cards: tuple[Card, ...]) -> None:
-        object.__setattr__(self, "cards", cards)
-        self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.cards,) == (other.cards,)
-        return NotImplemented
 
     def __post_init__(self) -> None:
         try:
@@ -240,15 +244,6 @@ class Permutation(_Record):
     __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __init__(self, images: tuple[int, ...]) -> None:
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.images,) == (other.images,)
-        return NotImplemented
-
     def __post_init__(self) -> None:
         images = tuple(self.images) if isinstance(self.images, Iterable) else None
         object.__setattr__(self, "images", images)
@@ -294,16 +289,6 @@ class OrientedPermutation(_Record):
     __slots__ = ("perm", "flips")
     perm: Permutation
     flips: tuple[bool, ...]
-
-    def __init__(self, perm: Permutation, flips: tuple[bool, ...]) -> None:
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "flips", flips)
-        self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.perm, self.flips) == (other.perm, other.flips)
-        return NotImplemented
 
     def __post_init__(self) -> None:
         if not isinstance(self.perm, Permutation):

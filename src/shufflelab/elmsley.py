@@ -44,25 +44,6 @@ class PositionGraph(_Record):
     in_images: tuple[int, ...]
     out_images: tuple[int, ...]
 
-    def __init__(
-        self,
-        size: int,
-        family: Family,
-        in_images: tuple[int, ...],
-        out_images: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "in_images", in_images)
-        object.__setattr__(self, "out_images", out_images)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.size, self.family, self.in_images, self.out_images) == (
-                other.size, other.family, other.in_images, other.out_images
-            )
-        return NotImplemented
-
     @classmethod
     def build(cls, size: int, family: Family) -> "PositionGraph":
         in_kind, out_kind = family_in_out(family)
@@ -88,41 +69,6 @@ class SolutionSet(_Record):
     target: int
     length: int
     words: tuple[Word, ...]
-
-    def __init__(
-        self,
-        size: int,
-        family: Family,
-        source: int,
-        target: int,
-        length: int,
-        words: tuple[Word, ...],
-    ) -> None:
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "words", words)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.size,
-                self.family,
-                self.source,
-                self.target,
-                self.length,
-                self.words,
-            ) == (
-                other.size,
-                other.family,
-                other.source,
-                other.target,
-                other.length,
-                other.words,
-            )
-        return NotImplemented
 
     def render(self) -> str:
         return "\n".join(inout_text(w) for w in self.words)

@@ -41,9 +41,10 @@ from .deck import (
 )
 from .shuffles import Family, check_family, element, family_in_out
 
-#: Point budget of every stabilizer chain: generators on more points are
-#: refused before any product.  Faro and horseshoe act on one point per card
-#: and reach 256 cards; flip acts on two and reaches 128.
+#: Point budget of every stabilizer chain and both oracles: generators on
+#: more points are refused before any product or state.  Faro and horseshoe
+#: act on one point per card and reach 256 cards; flip acts on two and
+#: reaches 128.
 MAX_CHAIN_POINTS = 256
 #: State budget of every orbit search: the default limit of both oracles, and
 #: the largest scanned-chain order that ``group_order`` enumerates.
@@ -77,11 +78,19 @@ def family_generators(family: Family, size: int) -> list[Permutation]:
 def _common_degree(
     generators: Sequence[Permutation], degree: Optional[int] = None
 ) -> int:
-    """The degree every generator acts on: ``degree``, else the first one's."""
+    """The degree every generator acts on: ``degree``, else the first one's.
+
+    A degree above ``MAX_CHAIN_POINTS`` is refused with ``CapExceededError``.
+    """
     if degree is None:
         degree = generators[0].degree if generators else 0
     if any(g.degree != degree for g in generators):
         raise ShuffleLabError("generators must act on the same points")
+    if degree > MAX_CHAIN_POINTS:
+        raise CapExceededError(
+            f"group on {degree} points exceeds the chain budget"
+            f" of {MAX_CHAIN_POINTS} points"
+        )
     return degree
 
 
@@ -312,18 +321,13 @@ class StabilizerChain:
     identity.
 
     Generators on more than ``MAX_CHAIN_POINTS`` points are refused with
-    ``CapExceededError`` before any product: the coset tables grow about
-    as the cube of the degree.
+    ``CapExceededError`` (by ``_common_degree``) before any product: the
+    coset tables grow about as the cube of the degree.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
         gens = list(generators)
         self.degree = _common_degree(gens, degree)
-        if self.degree > MAX_CHAIN_POINTS:
-            raise CapExceededError(
-                f"group on {self.degree} points exceeds the chain budget"
-                f" of {MAX_CHAIN_POINTS} points"
-            )
         self._identity = tuple(range(self.degree))
         self._levels: list[_Level] = []
         for g in gens:
@@ -474,12 +478,12 @@ def _orbit_size(
     """Size of the orbit of the tuple ``points`` under the pointwise action.
 
     A generator with image tuple g sends a state s to (g[s[0]], g[s[1]],
-    ...).  States are bytes on at most 256 points, translated through a
-    256-byte table, and str of ``chr(point)`` above that, translated
-    through the image tuple itself; either way the state's hash is
-    cached.  The search runs one breadth-first level at a time: per
-    generator, one ``seen.update`` call translates the whole frontier
-    and inserts the images in C.  A dict keeps insertion order and an
+    ...).  A state is bytes, one byte per point, since ``_common_degree``
+    holds every caller to ``MAX_CHAIN_POINTS`` = 256 points; it is
+    translated through a 256-byte table, and its hash is cached.  The
+    search runs one breadth-first level at a time: per generator, one
+    ``seen.update`` call translates the whole frontier and inserts the
+    images in C.  A dict keeps insertion order and an
     update of a present key does not move it, so the next frontier is
     the keys the level appended, read from the dict's end.
 
@@ -489,12 +493,8 @@ def _orbit_size(
     than cap + 1 states and the check is as exact as one state at a time.
     """
     degree = len(images[0]) if images else 0
-    if degree <= 256:
-        tables: Sequence = [bytes(g) + bytes(256 - degree) for g in images]
-        start: bytes | str = bytes(points)
-    else:
-        tables, start = images, "".join(map(chr, points))
-    translate = type(start).translate
+    tables = [bytes(g) + bytes(256 - degree) for g in images]
+    start = bytes(points)
     # A dict rather than a set: its compact table held the 322,560 states
     # of faro(14) at a peak about 14 MiB lower than a set did.
     seen = {start: None}
@@ -503,7 +503,7 @@ def _orbit_size(
     while frontier:
         before = len(seen)
         for table in tables:
-            candidates = map(translate, frontier, repeat(table))
+            candidates = map(bytes.translate, frontier, repeat(table))
             left = len(frontier)
             while left > 0:  # repeats among a batch leave room for more
                 room = most + 1 - len(seen)
@@ -522,13 +522,15 @@ def brute_force_order(
 ) -> int:
     """Group order by breadth-first enumeration of the group's elements.
 
-    A state is the image tuple of a group element, as bytes or str, and
-    a generator step turns the element x into x followed by the
-    generator.  This action is regular, so the orbit of the identity
-    has exactly |G| states.  The search steps a breadth-first level per
-    generator in one C call (see ``_orbit_size``).  Exceeding ``limit``
-    states raises instead of returning a partial count; the seen states
-    never number more than limit + 1.
+    A state is the image tuple of a group element, as bytes, and a
+    generator step turns the element x into x followed by the generator.
+    This action is regular, so the orbit of the identity has exactly |G|
+    states.  The search steps a breadth-first level per generator in one
+    C call (see ``_orbit_size``).  Exceeding ``limit`` states raises
+    instead of returning a partial count; the seen states never number
+    more than limit + 1.  Generators on more than ``MAX_CHAIN_POINTS``
+    points are refused before any state is built: the group of an
+    m-cycle alone holds m states of m bytes.
     """
     m = _common_degree(generators)
     return _orbit_size([g.images for g in generators], range(m), limit, "states")
@@ -540,7 +542,8 @@ def tuple_transitivity_order(
     """Size of the orbit of (0, 1, ..., t-1) under the generated group.
 
     Equal to the group order exactly when the action is sharply
-    t-transitive.
+    t-transitive.  Generators on more than ``MAX_CHAIN_POINTS`` points
+    are refused before any state is built.
     """
     m = _common_degree(generators)
     if not 0 <= t <= m:
@@ -698,38 +701,10 @@ class GroupOrderReport(_Record):
         match: bool,
         error: Optional[str] = None,
     ) -> None:
-        check_family(family)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "factored", factored)
-        object.__setattr__(self, "match", match)
-        object.__setattr__(self, "error", error)
+        super().__init__(family, size, computed, closed_form, case, factored, match, error)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.family,
-                self.size,
-                self.computed,
-                self.closed_form,
-                self.case,
-                self.factored,
-                self.match,
-                self.error,
-            ) == (
-                other.family,
-                other.size,
-                other.computed,
-                other.closed_form,
-                other.case,
-                other.factored,
-                other.match,
-                other.error,
-            )
-        return NotImplemented
+    def __post_init__(self) -> None:
+        check_family(self.family)
 
     def line(self) -> str:
         if self.error is not None:

@@ -76,13 +76,9 @@ class Step(_Record):
     inverted: bool
 
     def __init__(self, shuffle: Shuffle, inverted: bool = False) -> None:
+        # written out for the default; direct stores skip the base's loop per token
         object.__setattr__(self, "shuffle", shuffle)
         object.__setattr__(self, "inverted", inverted)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.shuffle, self.inverted) == (other.shuffle, other.inverted)
-        return NotImplemented
 
     @classmethod
     def parse(cls, token: str) -> "Step":

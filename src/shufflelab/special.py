@@ -69,18 +69,14 @@ class DiagramOp(_Record):
     __slots__ = ("bit",)
     bit: Optional[int]
 
-    def __init__(self, bit: Optional[int]) -> None:
-        object.__setattr__(self, "bit", bit)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.bit,) == (other.bit,)
-        return NotImplemented
+    def __post_init__(self) -> None:
+        if self.bit is not None and type(self.bit) is not int:
+            raise ShuffleLabError(f"bit index must be an int or None, got {self.bit!r}")
+        if self.bit is not None and self.bit < 0:
+            raise ShuffleLabError(f"bit index must be >= 0, got {self.bit}")
 
     @classmethod
     def flip_bit(cls, j: int) -> "DiagramOp":
-        if j < 0:
-            raise ShuffleLabError(f"bit index must be >= 0, got {j}")
         return cls(j)
 
     @classmethod
@@ -130,25 +126,6 @@ class SpecialOrdering(_Record):
     first: int
     start: DiagramOp
     values: tuple[int, ...]
-
-    def __init__(
-        self,
-        k: int,
-        first: int,
-        start: DiagramOp,
-        values: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.k, self.first, self.start, self.values) == (
-                other.k, other.first, other.start, other.values
-            )
-        return NotImplemented
 
     def skipped(self) -> DiagramOp:
         """The one cycle operation the generation never used."""
@@ -288,27 +265,6 @@ class TrickTranscript(_Record):
     values: tuple[int, ...]
     ordering: SpecialOrdering
     lines: tuple[str, ...]
-
-    def __init__(
-        self,
-        k: int,
-        word: Word,
-        values: tuple[int, ...],
-        ordering: SpecialOrdering,
-        lines: tuple[str, ...],
-    ) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "lines", lines)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.k, self.word, self.values, self.ordering, self.lines) == (
-                other.k, other.word, other.values, other.ordering, other.lines
-            )
-        return NotImplemented
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"

@@ -348,8 +348,25 @@ def test_a_closed_pipe_ends_quietly():
             ("verify", "--family", "faro", "--sizes", " "),
             "error: no sizes in size list ' '\n",
         ),
+        (
+            ("verify", "--family", "faro", "--sizes", "1_0"),
+            "error: bad size list '1_0'\n",
+        ),
+        (
+            ("verify", "--family", "faro", "--sizes", "4, +8"),
+            "error: bad size list '4, +8'\n",
+        ),
     ],
-    ids=["superscript-card", "superscript-bit", "negative-k", "huge-k", "comma", "blank"],
+    ids=[
+        "superscript-card",
+        "superscript-bit",
+        "negative-k",
+        "huge-k",
+        "comma",
+        "blank",
+        "underscore-size",
+        "signed-size",
+    ],
 )
 def test_bad_tokens_and_empty_lists_are_error_lines(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -20,7 +20,7 @@ from shufflelab.deck import (
 )
 from shufflelab.deck import _unchecked
 from shufflelab.elmsley import PositionGraph, shortest_words
-from shufflelab.groups import verify_theorem
+from shufflelab.groups import GroupOrderReport, verify_theorem
 from shufflelab.shuffles import Family, Shuffle, Step, element
 from shufflelab.special import DiagramOp, trick_session
 
@@ -432,3 +432,13 @@ def test_records_are_values_that_refuse_assignment(build):
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+    # one value per field: Step and GroupOrderReport default their last one
+    cls = type(record)
+    required = len(fields) - (cls in (Step, GroupOrderReport))
+    for count in (required - 1, len(fields) + 1):
+        with pytest.raises(TypeError):
+            cls(*(values * 2)[:count])
+    assert _unchecked(cls, *values) == record
+    for i in range(len(fields)):
+        other = _unchecked(cls, *values[:i], object(), *values[i + 1 :])
+        assert other != record and record != other

@@ -412,9 +412,9 @@ def _reflection(m):
     return Permutation(tuple(-i % m for i in range(m)))
 
 
-#: Groups on both sides of the 256-point boundary between the oracle's bytes
-#: and str states: generators, degree and order.  Flip(128) = Faro(256), of
-#: order 8 * 2^8; faro(512) has order 9 * 2^9.
+#: Groups on both sides of the oracles' 256-point budget, ``MAX_CHAIN_POINTS``,
+#: which is also the most points a bytes state holds: generators, degree and
+#: order.  Flip(128) = Faro(256), of order 8 * 2^8; faro(512) has order 9 * 2^9.
 BOUNDARY_GROUPS = {
     "flip(128)": (lambda: family_generators(Family.FLIP, 128), 256, 2048),
     "faro(512)": (lambda: family_generators(Family.FARO, 512), 512, 4608),
@@ -422,18 +422,27 @@ BOUNDARY_GROUPS = {
 }
 
 
+def _over_budget(degree):
+    text = f"group on {degree} points exceeds the chain budget of 256 points"
+    return pytest.raises(CapExceededError, match=f"^{text}$")
+
+
 @pytest.mark.parametrize("name", list(BOUNDARY_GROUPS))
 def test_brute_force_on_both_sides_of_the_byte_boundary(name):
     make, degree, order = BOUNDARY_GROUPS[name]
     gens = make()
     assert gens[0].degree == degree
+    if degree > groups.MAX_CHAIN_POINTS:
+        with _over_budget(degree):
+            brute_force_order(gens, limit=order)
+        return
     assert brute_force_order(gens, limit=order) == order
     with pytest.raises(CapExceededError, match=f"exceeded {order - 1} states"):
         brute_force_order(gens, limit=order - 1)
 
 
 def test_tuple_transitivity_above_the_byte_boundary():
-    m = 300
+    m = 256
     # the dihedral group of order 2m, in which only the identity fixes (0, 1)
     dihedral = [_cycle(m), _reflection(m)]
     orders = [tuple_transitivity_order(dihedral, t) for t in (0, 1, 2, m)]
@@ -442,6 +451,24 @@ def test_tuple_transitivity_above_the_byte_boundary():
     assert tuple_transitivity_order(dihedral, m, node_cap=2 * m) == 2 * m
     with pytest.raises(CapExceededError, match=f"exceeded {m - 1} nodes"):
         tuple_transitivity_order(dihedral, 1, node_cap=m - 1)
+    # one point more is refused, whatever the tuple length
+    above = [_cycle(m + 1), _reflection(m + 1)]
+    for t in (0, 1, m + 1):
+        with _over_budget(m + 1):
+            tuple_transitivity_order(above, t)
+
+
+def test_the_oracles_refuse_a_degree_above_the_budget_before_any_state(monkeypatch):
+    def fail(*args):
+        raise AssertionError("an oracle built states before refusing its degree")
+
+    monkeypatch.setattr(groups, "_orbit_size", fail)
+    for degree in (257, 300, 65536):
+        gens = [_cycle(degree)]
+        with _over_budget(degree):
+            brute_force_order(gens)
+        with _over_budget(degree):
+            tuple_transitivity_order(gens, 1)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -352,6 +353,22 @@ def test_recognize_ends_of_no_cycle_operation_are_not_special():
 def test_flip_bit_refuses_negative_indices():
     with pytest.raises(ShuffleLabError, match="bit index must be >= 0, got -1"):
         DiagramOp.flip_bit(-1)
+
+
+@pytest.mark.parametrize(
+    "bit, message",
+    [
+        (-1, "bit index must be >= 0, got -1"),
+        ("2", "bit index must be an int or None, got '2'"),
+        (2.0, "bit index must be an int or None, got 2.0"),
+        (True, "bit index must be an int or None, got True"),
+    ],
+    ids=["negative", "text", "float", "bool"],
+)
+def test_diagram_ops_refuse_bits_that_are_not_indices(bit, message):
+    # refused where the operation is built, not later in ``mask``
+    with pytest.raises(ShuffleLabError, match=f"^{re.escape(message)}$"):
+        DiagramOp(bit)
 
 
 def test_largest_k_is_the_largest_deck():

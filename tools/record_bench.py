@@ -11,9 +11,11 @@ For seeds 1-5 and every workload of ``BENCHMARK.json``, each checkout's
 own ``bench/run.py --seconds 30 --trace 0`` runs once, and the
 checkouts take turns going first.  ``BENCH_<LABEL>.json``, written to
 the root of this checkout, has one section per checkout: the ``meta``
-fields of its runs (commit, ``src_sha256``, Python, nproc), the seeds,
-and per workload the operations attempted and failed and each
-end-to-end metric's runs in seed order, median and quartiles.
+fields of its runs (commit, ``src_sha256``, Python, nproc) and
+``src_dirty``, whether its ``src/`` differs from that commit (null
+outside a git checkout), the seeds, and per workload the operations
+attempted and failed and each end-to-end metric's runs in seed order,
+median and quartiles.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return meta, json.loads(lines[-1])
 
 
+def src_dirty(checkout: Path) -> bool | None:
+    """Whether ``git status`` lists changes under the checkout's ``src/``."""
+    if not (checkout / ".git").exists():
+        return None
+    argv = ["git", "-C", str(checkout), "status", "--porcelain", "--", "src"]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -60,6 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         checkouts[name or directory.name] = directory
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
+    dirty = {name: src_dirty(directory) for name, directory in checkouts.items()}
     runs: dict = {name: {w: [] for w in workloads} for name in checkouts}
     metas: dict = {}
     turn = 0
@@ -86,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
                     for metric, unit in units.items()
                 },
             }
-        record[name] = {"meta": metas[name], "seeds": list(SEEDS), "seconds": SECONDS,
+        meta = {**metas[name], "src_dirty": dirty[name]}
+        record[name] = {"meta": meta, "seeds": list(SEEDS), "seconds": SECONDS,
                         "workloads": sections}  # fmt: skip
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
