@@ -21,6 +21,7 @@ from .shuffles import (
     Shuffle,
     Step,
     Word,
+    as_step,
     element,
     family_in_out,
     inout_text,
@@ -104,7 +105,7 @@ def shortest_words(size: int, family: Family, source: int, target: int) -> Solut
         raise ShuffleLabError(
             f"positions must lie in 0..{size - 1}, got {source}, {target}"
         )
-    in_kind, out_kind = family_in_out(family)
+    in_step, out_step = map(as_step, family_in_out(family))
     in_back = _inverse(graph.in_images).__getitem__
     out_back = _inverse(graph.out_images).__getitem__
     seen = {target: None}
@@ -132,12 +133,12 @@ def shortest_words(size: int, family: Family, source: int, target: int) -> Solut
                         f"more than {MAX_WORDS} minimal words (cap elmsley.MAX_WORDS)"
                     )
             return
-        for kind, q in (
-            (in_kind, graph.in_images[p]),
-            (out_kind, graph.out_images[p]),
+        for step, q in (
+            (in_step, graph.in_images[p]),
+            (out_step, graph.out_images[p]),
         ):
             if q in rings[total - depth - 1]:
-                stack.append(Step(kind))
+                stack.append(step)
                 walk(q, depth + 1)
                 stack.pop()
 

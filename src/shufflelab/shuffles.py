@@ -65,9 +65,6 @@ class Shuffle(Enum):
         return self.value
 
 
-_BY_TOKEN = {kind.value: kind for kind in Shuffle}
-
-
 class Step(_Record):
     """One shuffle in a word, possibly inverted (the dealt-out undo)."""
 
@@ -76,25 +73,26 @@ class Step(_Record):
     inverted: bool
 
     def __init__(self, shuffle: Shuffle, inverted: bool = False) -> None:
-        # written out for the default; direct stores skip the base's loop per token
-        object.__setattr__(self, "shuffle", shuffle)
-        object.__setattr__(self, "inverted", inverted)
+        super().__init__(shuffle, inverted)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.shuffle, Shuffle) or not isinstance(self.inverted, bool):
+            raise ShuffleLabError(f"a step takes a Shuffle and a bool, got {self!r}")
 
     @classmethod
     def parse(cls, token: str) -> "Step":
         """Parse a word token such as ``flip-in`` or ``inv:milk``."""
-        text = token.strip().lower()
-        inverted = text.startswith("inv:")
-        if inverted:
-            text = text[4:]
-        kind = _BY_TOKEN.get(text)
-        if kind is None:
+        step = _STEPS.get(token.strip().lower())
+        if step is None:
             raise ShuffleLabError(f"unknown shuffle token {token!r}")
-        return cls(kind, inverted)
+        return step
 
     def __str__(self) -> str:
         return f"inv:{self.shuffle.value}" if self.inverted else self.shuffle.value
 
+
+#: The 24 steps by token: ``str`` defines the grammar and ``parse`` inverts it.
+_STEPS = {str(s): s for s in (Step(k, inv) for k in Shuffle for inv in (False, True))}
 
 #: A shuffle word: steps applied left to right; the empty word is the identity.
 Word = tuple[Step, ...]
@@ -104,7 +102,10 @@ WordLike = Union[StepLike, Sequence[StepLike]]
 
 
 def as_step(value: StepLike) -> Step:
-    return value if isinstance(value, Step) else Step(value)
+    """The step of a shuffle, from the table; anything else is checked by ``Step``."""
+    if isinstance(value, Step):
+        return value
+    return _STEPS[value.value] if isinstance(value, Shuffle) else Step(value)
 
 
 def as_word(value: WordLike) -> Word:
@@ -271,13 +272,13 @@ def route_top_to(target: int, size: int, family: Family) -> Word:
     works for both families.
     """
     check_deck_size(size)
-    in_kind, out_kind = family_in_out(family)
+    in_step, out_step = map(as_step, family_in_out(family))
     if family not in POSITION_FAMILIES:
         raise ShuffleLabError(f"routing is defined for faro/horseshoe, not {family}")
     if not 0 <= target < size:
         raise ShuffleLabError(f"target {target} out of range for size {size}")
     bits = f"{target:b}".lstrip("0")  # 0 has no bits: the top card needs no shuffle
-    word = tuple(Step(in_kind if bit == "1" else out_kind) for bit in bits)
+    word = tuple(in_step if bit == "1" else out_step for bit in bits)
     pos = 0
     for step in word:
         pos = _element(step.shuffle, size, False).perm.images[pos]

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflelab import cli
 from shufflelab.cli import main
 from shufflelab.deck import Deck
+from shufflelab.shuffles import Shuffle
 
 
 def run_cli(capsys, *argv):
@@ -399,6 +404,133 @@ def test_a_bad_size_in_a_size_list_is_an_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: bad size list '8,x'\n"
+
+
+# -- fuzzed command lines -----------------------------------------------------
+
+#: Odd number texts: blank, comma, signs, ``_``, another script's digit,
+#: more digits than ``int`` reads, and a face-up mark.  Digit-only tokens
+#: refuse all of them; argparse's ``int`` options take some.
+BAD_NUMBERS = ["", ",", "+4", "-4", "1_0", "\u0663", "9" * 5000, "~2"]
+
+
+def mostly(valid, odd):
+    """Valid values two times in three, odd ones the third."""
+    return st.one_of(valid, valid, odd)
+
+
+def numbers(valid, edges):
+    """The text of a valid number, else of an edge value or a refused form."""
+    odd = st.sampled_from([str(e) for e in edges]) | st.sampled_from(BAD_NUMBERS)
+    return mostly(valid.map(str), odd)
+
+
+def joined(items, max_size, separators):
+    return st.builds(
+        lambda parts, sep: sep.join(parts),
+        st.lists(items, max_size=max_size),
+        st.sampled_from(separators),
+    )
+
+
+# decks of at most 1024 cards and chains of at most 64, each with the
+# values at and past the deck cap (2^16) and the chain budget (256 points)
+DECK_SIZES = numbers(st.integers(1, 512).map(lambda n: 2 * n), (0, 1, 7, 65536, 65538))
+CHAIN_SIZES = numbers(
+    st.integers(1, 32).map(lambda n: 2 * n), (0, 7, 128, 256, 258, 65536, 65538)
+)
+TOKENS = [f"{inv}{kind.value}" for kind in Shuffle for inv in ("", "inv:")]
+ODD_TOKENS = ["", "INV:", "inv:inv:milk", "inv: milk", "Flip-In", "\u0663"]
+WORDS = joined(mostly(st.sampled_from(TOKENS), st.sampled_from(ODD_TOKENS)), 8, [", ", ",", " "])
+# a permutation of 2..16 cards, some face-up, or tokens that are mostly no deck
+DECKS = st.builds(
+    lambda cards, up: " ".join("~" * (up >> c & 1) + str(c) for c in cards),
+    st.integers(1, 8).flatmap(lambda n: st.permutations(range(2 * n))),
+    st.integers(0, 0xFFFF),
+) | joined(numbers(st.integers(0, 15), ("~0", "~", "~~1", "A")), 16, [" "])
+FAMILIES = mostly(st.sampled_from(["faro", "flip", "horse"]), st.sampled_from(["HORSE", ""]))
+POSITION_FAMILIES = mostly(st.sampled_from(["faro", "horse"]), st.sampled_from(["flip", "milk"]))
+POSITIONS = numbers(st.integers(0, 1023), (-1, 1024, 65536))
+K = numbers(st.integers(1, 10), (0, -1, 17))
+TRICK_CARDS = numbers(st.integers(0, 1024), ("A", "a", "~1"))
+STARTS = mostly(
+    st.sampled_from(["complement", *(f"bit{j}" for j in range(12))]),
+    st.sampled_from(["bit", "bit-1", "bit\u0663", "bit" + "1" * 5000]),
+)
+
+#: Each command's options: a value strategy, or None for a flag.
+COMMAND_OPTIONS = {
+    "apply": {"--size": DECK_SIZES, "--word": WORDS, "--deck": DECKS},
+    "order": {"--size": DECK_SIZES, "--word": WORDS},
+    "group-order": {
+        "--family": FAMILIES,
+        "--size": CHAIN_SIZES,
+        "--factored": None,
+        "--check": None,
+    },
+    "verify": {"--family": FAMILIES, "--sizes": joined(CHAIN_SIZES, 4, [",", ", "])},
+    "elmsley": {
+        "--size": DECK_SIZES,
+        "--family": POSITION_FAMILIES,
+        "--from": POSITIONS,
+        "--to": POSITIONS,
+    },
+    "route": {"--size": DECK_SIZES, "--family": POSITION_FAMILIES, "--to": POSITIONS},
+    "trick": {"--k": K, "--left": TRICK_CARDS, "--right": TRICK_CARDS},
+    "diagram": {"--k": K, "--first": POSITIONS, "--start": STARTS},
+    "shuffle": {},
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command, then each of its options and flags (``--json`` too) or not."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    options = {"--json": None, **COMMAND_OPTIONS[command]}
+    argv = [command]
+    for option in draw(st.permutations(sorted(options))):
+        value = options[option]
+        if value is None:  # a flag
+            argv += [option] * draw(st.booleans())
+        elif draw(st.integers(0, 15)):  # an option, left out one time in 16
+            argv += [option, draw(value)]
+    if command == "apply" and "--deck" in argv and draw(st.booleans()):
+        # a deck whose size matches, so that some decks get applied
+        cards = argv[argv.index("--deck") + 1].split()
+        argv += ["--size", str(len(cards))]
+    return argv
+
+
+def failed_rows(out, as_json):
+    """The rows of ``verify`` output that are errors or mismatches."""
+    if as_json:
+        return [r for r in json.loads(out)["reports"] if r["error"] or not r["match"]]
+    return [r for r in out.splitlines() if ": error: " in r or r.endswith(" match=no")]
+
+
+@settings(max_examples=400, deadline=2000)
+@given(argv=command_lines())
+def test_any_command_line_exits_zero_one_or_two_and_says_why(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    as_json = "--json" in argv
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == "" and out.endswith("\n")
+        if as_json:
+            json.loads(out)
+    elif code == 2:
+        assert out == "" and "error:" in err
+    elif argv[0] == "verify" and err == "":
+        # verify prints each size it refuses as an error row
+        assert failed_rows(out, as_json)
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- start-up: what each command loads, and the names a tracer wraps ----------

@@ -19,7 +19,7 @@ from shufflelab.deck import (
     contract_staystack,
     expand_staystack,
 )
-from shufflelab.elmsley import PositionGraph
+from shufflelab.elmsley import PositionGraph, shortest_words
 from shufflelab.groups import family_generators, permutation_parity
 from shufflelab.shuffles import (
     POSITION_FAMILIES,
@@ -439,6 +439,9 @@ def test_flip_shifts_face_up_parity_for_odd_n():
 
 # -- word text grammar --------------------------------------------------------
 
+#: Every step token: each shuffle forward and inverted.
+TOKENS = [f"{inv}{kind.value}" for kind in Shuffle for inv in ("", "inv:")]
+
 
 def test_parse_word_tokens():
     word = parse_word("flip-in, inv:milk HORSE-OUT,reverse")
@@ -450,12 +453,62 @@ def test_parse_word_tokens():
     )
     assert format_word(word) == "flip-in, inv:milk, horse-out, reverse"
     assert parse_word(format_word(word)) == word
+    assert len(set(TOKENS)) == 24
+    for token in TOKENS:
+        step = Step(Shuffle(token.removeprefix("inv:")), token.startswith("inv:"))
+        for text in (token, token.upper(), f" \t{token}  "):
+            assert parse_word(text) == (step,)
+            assert Step.parse(text) == step
+            assert format_word(parse_word(text)) == str(step) == token
+    assert format_word(parse_word(" ".join(TOKENS).upper())) == ", ".join(TOKENS)
 
 
 def test_parse_word_rejects_unknown_tokens():
-    for bad in ("flipin", "inv:", "faro", "milk-under"):
-        with pytest.raises(ShuffleLabError):
+    for bad in ("flipin", "inv:", "faro", "milk-under", "inv:inv:milk", "inv: milk", "INV:"):
+        with pytest.raises(ShuffleLabError, match="unknown shuffle token"):
             parse_word(bad)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (Shuffle.MILK, "yes"),
+        (Shuffle.MILK, 0),
+        (Shuffle.MILK, 1),
+        (Shuffle.MILK, None),
+        ("faro-in",),
+        ("faro-in", True),
+        (None,),
+        (Family.FARO,),
+    ],
+)
+def test_a_step_checks_its_fields(fields):
+    # a step's shuffle is a Shuffle and its inverted flag a bool
+    with pytest.raises(ShuffleLabError, match="a step takes a Shuffle and a bool"):
+        Step(*fields)
+    if len(fields) == 1:  # the library's step-like inputs refuse it too
+        with pytest.raises(ShuffleLabError, match="a step takes a Shuffle and a bool"):
+            element(fields[0], 10)
+        with pytest.raises(ShuffleLabError, match="a step takes a Shuffle and a bool"):
+            word_element([Shuffle.MILK, fields[0]], 10)
+
+
+def test_parsing_and_the_library_words_build_no_step(monkeypatch):
+    # the 24 steps are built once, in a table that every word takes its steps from
+    calls = []
+    init = Step.__init__
+    monkeypatch.setattr(
+        Step, "__init__", lambda self, *args: calls.append(args) or init(self, *args)
+    )
+    assert len(parse_word(", ".join(TOKENS))) == 24
+    for kind in Shuffle:
+        element(kind, 10)
+    for family in POSITION_FAMILIES:
+        assert route_top_to(37, 40, family)
+        assert shortest_words(40, family, 37, 0).words
+    assert calls == []
+    Step(Shuffle.MILK, True)  # the counter sees a step that is built
+    assert calls == [(Shuffle.MILK, True)]
 
 
 def test_inout_text_rejects_non_inout():
