@@ -65,6 +65,18 @@ def _emit(args: argparse.Namespace, text: str, payload: Callable[[], dict]) -> N
     print(text, flush=True)
 
 
+def _number(text: str) -> int:
+    """A number option's value: ``deck._decimal``'s digits after at most one ``-``.
+
+    A negative value reaches the library, which refuses it with its own message.
+    """
+    negative = text.startswith("-")
+    value = _decimal(text[1:] if negative else text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return -value if negative else value
+
+
 def _parse_sizes(text: str) -> list[int]:
     """The sizes of a comma-separated list, each token read by ``deck._decimal``."""
     sizes = [_decimal(t.strip()) for t in text.split(",") if t.strip()]
@@ -212,17 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("apply", _cmd_apply, "apply a shuffle word to a deck")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number, required=True)
     p.add_argument("--word", required=True, help="e.g. 'flip-in, inv:milk'")
     p.add_argument("--deck", help="deck text; default is the sorted face-down deck")
 
     p = add("order", _cmd_order, "repetitions of a word restoring the deck")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number, required=True)
     p.add_argument("--word", required=True)
 
     p = add("group-order", _cmd_group_order, "exact order of a shuffle group")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number, required=True)
     p.add_argument("--factored", action="store_true", help="show prime factorization")
     p.add_argument("--check", action="store_true", help="compare to the closed form")
 
@@ -231,24 +243,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated deck sizes")
 
     p = add("elmsley", _cmd_elmsley, "all minimal in/out words between positions")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number, required=True)
     p.add_argument("--family", required=True, choices=position_families)
-    p.add_argument("--from", dest="source", type=int, required=True)
-    p.add_argument("--to", type=int, default=0)
+    p.add_argument("--from", dest="source", type=_number, required=True)
+    p.add_argument("--to", type=_number, default=0)
 
     p = add("route", _cmd_route, "binary-method word moving the top card")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number, required=True)
     p.add_argument("--family", required=True, choices=position_families)
-    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--to", type=_number, required=True)
 
     p = add("trick", _cmd_trick, "predict a shuffled 2^k packet from its end cards")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_number, required=True)
     p.add_argument("--left", required=True, help="left end card (A for the ace)")
     p.add_argument("--right", required=True, help="right end card")
 
     p = add("diagram", _cmd_diagram, "generate a special ordering by doubling")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--first", type=int, required=True)
+    p.add_argument("--k", type=_number, required=True)
+    p.add_argument("--first", type=_number, required=True)
     p.add_argument("--start", required=True, help="bitJ or complement")
 
     return parser

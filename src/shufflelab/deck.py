@@ -14,9 +14,16 @@ positions j and 4n-1-j always hold the two faces of one card: card
 (label, face) becomes point label + 2n*face, and point x pairs with
 (x + 2n) mod 4n.
 
+Three primitives on image tuples serve the whole package, the group
+engine included: ``_compose`` (the product, and the gather of flags and
+cards along a permutation), ``_inverse`` and ``_cycles``.
+
 Checking policy: values are checked once, where they enter from outside,
-and each rule has one home here: ``_decimal`` for card and operation
-tokens, ``_is_arrangement`` for labels and images (ints, not bools),
+and each rule has one home here: ``_decimal`` for every number read from
+text (card tokens, the bit of ``bitJ``, ``--sizes`` lists and the CLI's
+number options, which allow one leading ``-`` before it): decimal
+digits only, with no ``+``, ``_`` or blank and at most 4300 of them;
+``_is_arrangement`` for labels and images (ints, not bools),
 ``_is_flags`` for face and turn-over flags (bools only), and
 ``check_deck_size`` for sizes (ints only).  Everything derived (shuffle
 tables from their formulas, word folds, products, inverses, moved decks)
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from operator import xor
+from operator import itemgetter, xor
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 #: Hard upper bound on deck sizes; everything in scope is desk scale.
@@ -220,6 +227,14 @@ def _inverse(images: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _compose(p: Sequence[int], q: Sequence) -> tuple:
+    """Apply p, then q: q's images, flags or cards at p's indices, in order.
+
+    One ``itemgetter`` call; below two points it would return a bare item or raise.
+    """
+    return itemgetter(*p)(q) if len(p) > 1 else tuple(q[x] for x in p)
+
+
 def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
     """Cycle decomposition of the permutation with these images, 1-cycles included."""
     seen = [False] * len(images)
@@ -262,8 +277,7 @@ class Permutation(_Record):
         """Composition: apply self first, then other."""
         if other.degree != self.degree:
             raise ShuffleLabError("degree mismatch in composition")
-        images = tuple(map(other.images.__getitem__, self.images))
-        return _unchecked(Permutation, images)
+        return _unchecked(Permutation, _compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
         return _unchecked(Permutation, _inverse(self.images))
@@ -310,15 +324,15 @@ class OrientedPermutation(_Record):
 
     def then(self, other: "OrientedPermutation") -> "OrientedPermutation":
         """Composition: apply self first, then other."""
-        perm = self.perm.then(other.perm)
-        carried = map(other.flips.__getitem__, self.perm.images)
-        flips = tuple(map(xor, self.flips, carried))
+        if other.degree != self.degree:
+            raise ShuffleLabError("degree mismatch in composition")
+        perm = _unchecked(Permutation, _compose(self.perm.images, other.perm.images))
+        flips = tuple(map(xor, self.flips, _compose(self.perm.images, other.flips)))
         return _unchecked(OrientedPermutation, perm, flips)
 
     def inverse(self) -> "OrientedPermutation":
         inv = self.perm.inverse()
-        flips = tuple(map(self.flips.__getitem__, inv.images))
-        return _unchecked(OrientedPermutation, inv, flips)
+        return _unchecked(OrientedPermutation, inv, _compose(inv.images, self.flips))
 
     def is_identity(self) -> bool:
         return self.perm.is_identity() and not any(self.flips)
@@ -358,7 +372,7 @@ def apply_oriented(op: OrientedPermutation, deck: Deck) -> Deck:
     cards = deck.cards
     if True in op.flips:
         cards = tuple(c.turned() if f else c for c, f in zip(cards, op.flips))
-    return _unchecked(Deck, tuple(map(cards.__getitem__, op.perm.inverse().images)))
+    return _unchecked(Deck, _compose(_inverse(op.perm.images), cards))
 
 
 def expand_staystack(deck: Deck) -> Deck:

@@ -16,9 +16,9 @@ test suite checks both kinds against the enumeration over every family
 at every even size up to 40 and the powers of two within the chain
 budget, ``MAX_CHAIN_POINTS``.  All arithmetic is exact
 Python integers; the orders here overflow 64 bits already at twenty
-cards.  Permutations inside the chain are plain image tuples, and the
-product ``_mul(p, q)``, one ``itemgetter`` call, applies p, then q.  The
-closed forms of the order theorems are tabulated for verification runs.
+cards.  Permutations inside the chain are plain image tuples, and
+``deck._compose(p, q)`` multiplies them: p, then q.  The closed forms
+of the order theorems are tabulated for verification runs.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ import math
 import random
 from collections import deque
 from itertools import count, islice, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .deck import (
     Permutation,
     ShuffleLabError,
+    _compose,
     _cycles,
     _inverse,
     _Record,
@@ -107,13 +107,6 @@ _WARMUP_STEPS = 40
 #: suggests that the bound exceeds the order; a wrong guess costs only time,
 #: as the scan completes any chain.
 _IDLE_SIFTS = 30
-
-
-def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p, then q.  Only called at degree >= 2 (a group with a chain
-    # level moves a point; ``_block_involution`` checks the degree): with
-    # one index itemgetter would return a bare int, with none it would raise.
-    return itemgetter(*p)(q)
 
 
 def _is_odd(images: Sequence[int]) -> bool:
@@ -231,8 +224,8 @@ def _random_elements(
         i, j = rng.randrange(n), rng.randrange(n - 1)
         if j == i:
             j = n - 1
-        slots[i] = _mul(slots[i], slots[j])
-        x = _mul(x, slots[i])
+        slots[i] = _compose(slots[i], slots[j])
+        x = _compose(x, slots[i])
         if step >= _WARMUP_STEPS:
             yield x
 
@@ -262,14 +255,14 @@ class _Level:
         for a in list(coset):
             b = g[a]
             if b not in coset:
-                coset[b] = _mul(g_inv, coset[a])
+                coset[b] = _compose(g_inv, coset[a])
                 queue.append(b)
         while queue:
             a = queue.popleft()
             for h, h_inv in zip(self.gens, self.inv_gens):
                 b = h[a]
                 if b not in coset:
-                    coset[b] = _mul(h_inv, coset[a])
+                    coset[b] = _compose(h_inv, coset[a])
                     queue.append(b)
 
     def schreier_generators(
@@ -280,7 +273,7 @@ class _Level:
         for a in points:
             u_a = _inverse(coset[a])
             for h in gens:
-                yield _mul(_mul(u_a, h), coset[h[a]])
+                yield _compose(_compose(u_a, h), coset[h[a]])
 
 
 class StabilizerChain:
@@ -420,7 +413,7 @@ class StabilizerChain:
             u_inv = level.coset.get(image)
             if u_inv is None:
                 return g, idx
-            g = _mul(g, u_inv)
+            g = _compose(g, u_inv)
         if g == self._identity:
             return None, -1
         return g, len(self._levels)

@@ -296,6 +296,19 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["group-order", "--family", "bogus", "--size", "8"])
     assert info.value.code == 2
+    # number options read digits only, as card and ``--sizes`` tokens do
+    for argv, token in (
+        (["group-order", "--family", "faro", "--size", "1_0"], "1_0"),
+        (["group-order", "--family", "faro", "--size", "+10"], "+10"),
+        (["trick", "--k", " 3", "--left", "A", "--right", "3"], " 3"),
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"invalid int value: {token!r}" in err
 
 
 def test_module_entry_point():
@@ -409,8 +422,10 @@ def test_a_bad_size_in_a_size_list_is_an_error_line(capsys):
 # -- fuzzed command lines -----------------------------------------------------
 
 #: Odd number texts: blank, comma, signs, ``_``, another script's digit,
-#: more digits than ``int`` reads, and a face-up mark.  Digit-only tokens
-#: refuse all of them; argparse's ``int`` options take some.
+#: more digits than ``int`` reads, and a face-up mark.  Every number the
+#: CLI reads goes through ``deck._decimal``, which takes the other script's
+#: digit and refuses the rest; a number option also takes ``-4`` and leaves
+#: its refusal to the library.
 BAD_NUMBERS = ["", ",", "+4", "-4", "1_0", "\u0663", "9" * 5000, "~2"]
 
 

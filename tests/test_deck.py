@@ -126,8 +126,9 @@ def test_expansion_past_the_cap_is_refused():
 
 
 def test_inverses_exhaustive_small():
-    # every oriented permutation on sizes 2 and 4
-    for m in (2, 4):
+    # every oriented permutation on sizes 0, 1, 2 and 4; products below two
+    # points take ``_compose``'s guard
+    for m in (0, 1, 2, 4):
         for images in permutations(range(m)):
             for mask in range(1 << m):
                 op = OrientedPermutation(
