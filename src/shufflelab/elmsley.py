@@ -6,20 +6,19 @@ positions with out-degree two.  One breadth-first search backwards
 from the target, along the inverse shuffles, gives each position's
 distance to it, up to the source's; that answers the classic question
 of moving the card at position i to the top (or anywhere else) in as
-few shuffles as possible, and a depth-first walk down those distances
-enumerates *all* minimal words, not just one.
+few shuffles as possible, and extending words ring by ring down those
+distances enumerates *all* minimal words, not just one.
 """
 
 from __future__ import annotations
 
 from itertools import islice, repeat
 
-from .deck import ShuffleLabError, _inverse, _Record
+from .deck import ShuffleLabError, _cycles, _inverse, _Record
 from .shuffles import (
     POSITION_FAMILIES,
     Family,
     Shuffle,
-    Step,
     Word,
     as_step,
     element,
@@ -95,15 +94,15 @@ def shortest_words(size: int, family: Family, source: int, target: int) -> Solut
     shuffle's images of the ring go into a dict with one ``update``, and
     since an update of a present key does not move it, the next ring is
     the keys the step appended, read from the dict's end.  A step lies
-    on a minimal word exactly when it lowers the distance by one, so a
-    depth-first walk from the source along steps into the next ring (in
-    before out) lists the words in lexicographic order.  More than
-    ``MAX_WORDS`` words raise instead.
+    on a minimal word exactly when it lowers the distance by one, so
+    extending every prefix by in, then out, into the next ring from the
+    source's keeps the words in lexicographic order.  Each prefix ends
+    in a minimal word, so more than ``MAX_WORDS`` in a ring raise.
     """
     graph = PositionGraph.build(size, family)
-    if not (0 <= source < size and 0 <= target < size):
+    if not all(type(p) is int and 0 <= p < size for p in (source, target)):
         raise ShuffleLabError(
-            f"positions must lie in 0..{size - 1}, got {source}, {target}"
+            f"positions must lie in 0..{size - 1}, got {source!r}, {target!r}"
         )
     in_step, out_step = map(as_step, family_in_out(family))
     in_back = _inverse(graph.in_images).__getitem__
@@ -119,31 +118,21 @@ def shortest_words(size: int, family: Family, source: int, target: int) -> Solut
                 f"position {target} unreachable from {source} at size {size}"
             )
         rings.append(set(islice(reversed(seen), len(seen) - before)))
-    total = len(rings) - 1
-
-    words: list[Word] = []
-    stack: list[Step] = []
-
-    def walk(p: int, depth: int) -> None:
-        if depth == total:
-            if p == target:
-                words.append(tuple(stack))
-                if len(words) > MAX_WORDS:
-                    raise ShuffleLabError(
-                        f"more than {MAX_WORDS} minimal words (cap elmsley.MAX_WORDS)"
-                    )
-            return
-        for step, q in (
-            (in_step, graph.in_images[p]),
-            (out_step, graph.out_images[p]),
-        ):
-            if q in rings[total - depth - 1]:
-                stack.append(step)
-                walk(q, depth + 1)
-                stack.pop()
-
-    walk(source, 0)
-    return SolutionSet(size, family, source, target, total, tuple(words))
+    moves = ((in_step, graph.in_images), (out_step, graph.out_images))
+    prefixes: list[tuple[Word, int]] = [((), source)]
+    for ring in reversed(rings[:-1]):
+        prefixes = [
+            (word + (step,), images[p])
+            for word, p in prefixes
+            for step, images in moves
+            if images[p] in ring
+        ]
+        if len(prefixes) > MAX_WORDS:
+            raise ShuffleLabError(
+                f"more than {MAX_WORDS} minimal words (cap elmsley.MAX_WORDS)"
+            )
+    words = tuple(word for word, _ in prefixes)
+    return SolutionSet(size, family, source, target, len(rings) - 1, words)
 
 
 def second_position_cycle(size: int) -> tuple[int, ...]:
@@ -155,10 +144,4 @@ def second_position_cycle(size: int) -> tuple[int, ...]:
     """
     if size < 4 or size & (size - 1):
         raise ShuffleLabError(f"size must be a power of two >= 4, got {size}")
-    images = element(Shuffle.HORSE_OUT, size).perm.images
-    positions = [1]
-    p = images[1]
-    while p != 1:
-        positions.append(p)
-        p = images[p]
-    return tuple(positions)
+    return _cycles(element(Shuffle.HORSE_OUT, size).perm.images)[1]

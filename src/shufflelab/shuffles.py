@@ -171,12 +171,22 @@ def family_in_out(family: Family) -> tuple[Shuffle, Shuffle]:
     return _FAMILY_IN_OUT[family]
 
 
-#: Entries kept by each element cache; holds the elements of a table sweep.
+#: Entries kept by the element cache; holds the elements of a table sweep.
 _CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _base_element(kind: Shuffle, size: int) -> OrientedPermutation:
+def _element(kind: Shuffle, size: int, inverted: bool) -> OrientedPermutation:
+    """The table of one step, built unchecked from its formula.
+
+    A Monge shuffle undoes a milk shuffle, so a Monge step is a lookup:
+    ``monge-under`` is ``inv:milk`` and ``inv:monge-under`` is ``milk``.
+    """
+    if kind in (Shuffle.MONGE_UNDER, Shuffle.MONGE_OVER):
+        milk = Shuffle.MILK if kind is Shuffle.MONGE_UNDER else Shuffle.MILK_SWAP
+        return _element(milk, size, not inverted)
+    if inverted:
+        return _element(kind, size, False).inverse()
     s = size
     if kind is Shuffle.FARO_OUT:
         # position i goes to 2i mod (size-1); the bottom card stays put
@@ -193,12 +203,9 @@ def _base_element(kind: Shuffle, size: int) -> OrientedPermutation:
         images = (*range(1, s, 2), *range(s - 2, -1, -2))
         return _table(images, flip_bottom=kind is Shuffle.FLIP_IN)
     if kind in (Shuffle.MILK, Shuffle.MILK_SWAP):
-        turn = _base_element(Shuffle.TURN_OVER, size)
+        turn = _element(Shuffle.TURN_OVER, size, False)
         horse = Shuffle.HORSE_IN if kind is Shuffle.MILK else Shuffle.HORSE_OUT
-        return turn.then(_base_element(horse, size)).then(turn)
-    if kind in (Shuffle.MONGE_UNDER, Shuffle.MONGE_OVER):
-        milk = Shuffle.MILK if kind is Shuffle.MONGE_UNDER else Shuffle.MILK_SWAP
-        return _base_element(milk, size).inverse()
+        return turn.then(_element(horse, size, False)).then(turn)
     if kind in (Shuffle.REVERSE, Shuffle.TURN_OVER):
         flip = kind is Shuffle.TURN_OVER
         return _table(tuple(range(s - 1, -1, -1)), flip, flip)
@@ -212,12 +219,6 @@ def _table(
     n = len(images) // 2
     flips = (flip_top,) * n + (flip_bottom,) * n
     return _unchecked(OrientedPermutation, _unchecked(Permutation, images), flips)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _element(kind: Shuffle, size: int, inverted: bool) -> OrientedPermutation:
-    base = _base_element(kind, size)
-    return base.inverse() if inverted else base
 
 
 def element(step: StepLike, size: int) -> OrientedPermutation:
@@ -275,8 +276,8 @@ def route_top_to(target: int, size: int, family: Family) -> Word:
     in_step, out_step = map(as_step, family_in_out(family))
     if family not in POSITION_FAMILIES:
         raise ShuffleLabError(f"routing is defined for faro/horseshoe, not {family}")
-    if not 0 <= target < size:
-        raise ShuffleLabError(f"target {target} out of range for size {size}")
+    if type(target) is not int or not 0 <= target < size:
+        raise ShuffleLabError(f"target {target!r} out of range for size {size}")
     bits = f"{target:b}".lstrip("0")  # 0 has no bits: the top card needs no shuffle
     word = tuple(in_step if bit == "1" else out_step for bit in bits)
     pos = 0

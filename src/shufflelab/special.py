@@ -295,7 +295,12 @@ def trick_session(
     if initial is None:
         deck = Deck.identity(size)
     else:
-        deck = Deck(tuple((v, False) for v in initial))
+        cards = tuple((v, False) for v in initial)
+        if len(cards) != size:
+            raise ShuffleLabError(
+                f"initial arrangement must hold {size} cards, got {len(cards)}"
+            )
+        deck = Deck(cards)
         if recognize(deck.labels()) is None:
             raise ShuffleLabError("initial arrangement is not special")
     final = apply_word(steps, deck).labels()

@@ -149,12 +149,21 @@ def test_bad_positions_rejected():
         shortest_words(10, Family.HORSESHOE, 10, 0)
     with pytest.raises(ShuffleLabError):
         shortest_words(10, Family.HORSESHOE, 0, -1)
+    # positions are ints: no float, text or bool stands in for one
+    for source, target in ((1.5, 0), ("1", 0), (True, 0), (0, True), (3, 2.0)):
+        text = rf"positions must lie in 0\.\.9, got {source!r}, {target!r}"
+        with pytest.raises(ShuffleLabError, match=text):
+            shortest_words(10, Family.FARO, source, target)
 
 
 def test_second_position_cycle_values():
     assert second_position_cycle(16) == (1, 2, 4, 8, 15)
     assert second_position_cycle(4) == (1, 2, 3)
     assert second_position_cycle(8) == (1, 2, 4, 7)
+    # 1, 2, 4, ..., 2^(k-1), 2^k - 1 for every k up to the deck cap
+    for k in range(2, MAX_DECK_SIZE.bit_length()):
+        powers = tuple(1 << j for j in range(k))
+        assert second_position_cycle(1 << k) == (*powers, (1 << k) - 1)
 
 
 def test_second_position_cycle_matches_simulation_and_length():

@@ -169,6 +169,17 @@ def test_conjugation_identities():
         assert element(Shuffle.MONGE_OVER, size).then(element(Shuffle.MILK_SWAP, size)).is_identity()
 
 
+def test_monge_steps_are_the_milk_tables():
+    # a Monge step looks up the milk table of the other direction, so
+    # while both are cached they are one object
+    shuffles._element.cache_clear()
+    for size in (2, 10, 52, MAX_DECK_SIZE):
+        monge_under = element(Shuffle.MONGE_UNDER, size)
+        assert monge_under is element(Step(Shuffle.MILK, inverted=True), size)
+        undo_over = element(Step(Shuffle.MONGE_OVER, inverted=True), size)
+        assert undo_over is element(Shuffle.MILK_SWAP, size)
+
+
 def test_inverse_round_trip_every_kind():
     for size in range(2, 18, 2):
         for kind in Shuffle:
@@ -302,6 +313,10 @@ def test_route_rejects_bad_targets():
         route_top_to(52, 52, Family.FARO)
     with pytest.raises(ShuffleLabError):
         route_top_to(-1, 52, Family.HORSESHOE)
+    # a target is an int: no float, text or bool stands in for one
+    for target in (1.5, "1", True):
+        with pytest.raises(ShuffleLabError, match=rf"target {target!r} out of range"):
+            route_top_to(target, 10, Family.FARO)
     with pytest.raises(ShuffleLabError):
         route_top_to(3, 8, Family.FLIP)
 
@@ -525,7 +540,7 @@ def test_element_caches_stay_bounded():
     # a long-lived process asking for many sizes keeps a bounded number
     for size in range(2, 402, 2):
         element(Step(Shuffle.FARO_IN, inverted=True), size)
-    for cache in (shuffles._base_element, shuffles._element):
+    for cache in (shuffles._element,):
         info = cache.cache_info()
         assert info.maxsize is not None and info.maxsize <= 64
         assert info.currsize <= info.maxsize
@@ -538,7 +553,7 @@ def test_derived_values_skip_the_constructor_checks(monkeypatch):
     # tables come from their formulas; folds, routes and graphs from the tables
     deck = Deck.identity(40)
     word = parse_word("faro-out, inv:flip-in, milk, inv:monge-over, turnover, horse-in")
-    for cache in (shuffles._base_element, shuffles._element):
+    for cache in (shuffles._element,):
         cache.cache_clear()
     checks = []
     for cls in (Deck, Permutation, OrientedPermutation):

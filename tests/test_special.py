@@ -291,6 +291,13 @@ def test_trick_session_rejects_non_special_start():
         trick_session(2, (), initial=(0, 1, 3, 2))
 
 
+def test_trick_session_rejects_a_start_of_the_wrong_length():
+    for initial, got in (([0, 1, 2, 3], 4), (list(range(16)), 16), (iter(range(4)), 4)):
+        text = f"initial arrangement must hold 8 cards, got {got}"
+        with pytest.raises(ShuffleLabError, match=text):
+            trick_session(3, [Shuffle.MILK], initial=initial)
+
+
 def test_trick_session_accepts_special_start():
     transcript = trick_session(2, [Shuffle.REVERSE], initial=(2, 3, 0, 1))
     assert transcript.values == (1, 0, 3, 2)
