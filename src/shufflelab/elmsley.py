@@ -142,6 +142,6 @@ def second_position_cycle(size: int) -> tuple[int, ...]:
     returns to 1, so exactly k+1 cards ever pass through position 1
     while the top card is parked by out shuffles.
     """
-    if size < 4 or size & (size - 1):
-        raise ShuffleLabError(f"size must be a power of two >= 4, got {size}")
+    if type(size) is not int or size < 4 or size & (size - 1):
+        raise ShuffleLabError(f"size must be a power of two >= 4, got {size!r}")
     return _cycles(element(Shuffle.HORSE_OUT, size).perm.images)[1]

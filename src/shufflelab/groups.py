@@ -11,10 +11,12 @@ a lower bound, meets an upper bound from invariants the generators
 preserve (``_order_bound``), which proves it.  Where the bound exceeds
 the order, the classical Schreier-Sims scan completes the chain, and
 ``group_order`` checks a scanned order within ``BRUTE_FORCE_LIMIT``
-against a brute-force enumeration of the group (``_orbit_size``).  The
-test suite checks both kinds against the enumeration over every family
-at every even size up to 40 and the powers of two within the chain
-budget, ``MAX_CHAIN_POINTS``.  All arithmetic is exact
+against a brute-force count, ``brute_force_order``: the orbit of point 0
+times its stabilizer, enumerated through translate tables without chain
+code.  The test suite checks both kinds against that count, and against
+an enumeration of the whole group, over every family at every even size
+up to 40 and the powers of two within the chain budget,
+``MAX_CHAIN_POINTS``.  All arithmetic is exact
 Python integers; the orders here overflow 64 bits already at twenty
 cards.  Permutations inside the chain are plain image tuples, and
 ``deck._compose(p, q)`` multiplies them: p, then q.  The closed forms
@@ -46,8 +48,10 @@ from .shuffles import Family, check_family, element, family_in_out
 #: act on one point per card and reach 256 cards; flip acts on two and
 #: reaches 128.
 MAX_CHAIN_POINTS = 256
-#: State budget of every orbit search: the default limit of both oracles, and
-#: the largest scanned-chain order that ``group_order`` enumerates.
+#: Order budget of both oracles' default limits, and the largest scanned-chain
+#: order that ``group_order`` counts by brute force.  The limit bounds the
+#: order: ``brute_force_order`` holds at most limit // |orbit| + 1 stabilizer
+#: states, and ``tuple_transitivity_order`` at most limit + 1 tuples.
 BRUTE_FORCE_LIMIT = 10**6
 
 
@@ -465,34 +469,41 @@ def schreier_sims(
 # -- brute-force oracles ------------------------------------------------------
 
 
-def _orbit_size(
-    images: Sequence[Sequence[int]], points: Sequence[int], cap: int, what: str
-) -> int:
-    """Size of the orbit of the tuple ``points`` under the pointwise action.
+def _tables(generators: Sequence[Permutation], degree: int) -> list[bytes]:
+    """The generators as 256-byte ``bytes.translate`` tables."""
+    return [bytes(g.images) + bytes(256 - degree) for g in generators]
 
-    A generator with image tuple g sends a state s to (g[s[0]], g[s[1]],
-    ...).  A state is bytes, one byte per point, since ``_common_degree``
-    holds every caller to ``MAX_CHAIN_POINTS`` = 256 points; it is
-    translated through a 256-byte table, and its hash is cached.  The
-    search runs one breadth-first level at a time: per generator, one
-    ``seen.update`` call translates the whole frontier and inserts the
-    images in C.  A dict keeps insertion order and an
-    update of a present key does not move it, so the next frontier is
-    the keys the level appended, read from the dict's end.
 
-    More than ``cap`` states raises, where a cap below 1 counts as 1:
-    the start state alone never raises.  Each update gets at most
-    ``cap + 1 - len(seen)`` candidates, so the dict never holds more
-    than cap + 1 states and the check is as exact as one state at a time.
+def _exceeded(cap: int, what: str) -> CapExceededError:
+    return CapExceededError(f"orbit exceeded {cap} {what} during enumeration")
+
+
+def _close(
+    seen: dict[bytes, None],
+    frontier: list[bytes],
+    tables: Sequence[bytes],
+    most: int,
+    cap: int,
+    what: str,
+) -> None:
+    """Close the states ``seen`` under the tables, breadth-first from ``frontier``.
+
+    A state is bytes, one byte per point, since ``_common_degree`` holds
+    every caller to ``MAX_CHAIN_POINTS`` = 256 points; a table t sends
+    the state s to ``s.translate(t)``, that is (t[s[0]], t[s[1]], ...),
+    and a state's hash is cached.  The search runs one breadth-first
+    level at a time: per table, one ``seen.update`` call translates the
+    whole frontier and inserts the images in C.  A dict keeps insertion
+    order and an update of a present key does not move it, so the next
+    frontier is the keys the level appended, read from the dict's end.
+
+    More than ``most`` states raises, with ``cap`` and ``what`` in the
+    text.  Each update gets at most ``most + 1 - len(seen)`` candidates,
+    so the dict never holds more than most + 1 states and the check is
+    as exact as one state at a time.
     """
-    degree = len(images[0]) if images else 0
-    tables = [bytes(g) + bytes(256 - degree) for g in images]
-    start = bytes(points)
     # A dict rather than a set: its compact table held the 322,560 states
     # of faro(14) at a peak about 14 MiB lower than a set did.
-    seen = {start: None}
-    frontier = [start]
-    most = max(cap, 1)
     while frontier:
         before = len(seen)
         for table in tables:
@@ -502,31 +513,59 @@ def _orbit_size(
                 room = most + 1 - len(seen)
                 seen.update(zip(islice(candidates, room), repeat(None)))
                 if len(seen) > most:
-                    raise CapExceededError(
-                        f"orbit exceeded {cap} {what} during enumeration"
-                    )
+                    raise _exceeded(cap, what)
                 left -= room
         frontier = list(islice(reversed(seen), len(seen) - before))
-    return len(seen)
 
 
 def brute_force_order(
     generators: Sequence[Permutation], limit: int = BRUTE_FORCE_LIMIT
 ) -> int:
-    """Group order by breadth-first enumeration of the group's elements.
+    """Group order as the orbit of point 0 times its enumerated stabilizer.
 
-    A state is the image tuple of a group element, as bytes, and a
-    generator step turns the element x into x followed by the generator.
-    This action is regular, so the orbit of the identity has exactly |G|
-    states.  The search steps a breadth-first level per generator in one
-    C call (see ``_orbit_size``).  Exceeding ``limit`` states raises
-    instead of returning a partial count; the seen states never number
-    more than limit + 1.  Generators on more than ``MAX_CHAIN_POINTS``
-    points are refused before any state is built: the group of an
-    m-cycle alone holds m states of m bytes.
+    An element is the bytes of its images.  The orbit walk keeps, for
+    each orbit point a, an element u_a that sends 0 to a.  By Schreier's
+    lemma the stabilizer of 0 is generated by the elements u_a g
+    u_{g(a)}^-1, over orbit points a and generators g (Seress,
+    *Permutation Group Algorithms*, 2003, sec. 4.1).  Each one that the
+    stabilizer's states do not hold yet becomes a generator, at least
+    doubling the subgroup, and the states are closed under all of them
+    breadth-first (``_close``).  Products are ``bytes.translate`` calls
+    and inverses ``bytes.maketrans`` tables: no chain code runs, so the
+    count is independent of the chain's.
+
+    An order above ``limit`` raises instead of returning a partial
+    count, where a limit below 1 counts as 1; the stabilizer's states
+    never number more than limit // |orbit| + 1.  Generators on more
+    than ``MAX_CHAIN_POINTS`` points are refused before any state is
+    built.
     """
     m = _common_degree(generators)
-    return _orbit_size([g.images for g in generators], range(m), limit, "states")
+    tables = _tables(generators, m)
+    identity = bytes(range(m))
+    # on no points the padded tables still send 0 to 0: degree 0 counts 1
+    transversal = {0: identity}
+    queue = [0]
+    for a in queue:
+        for table in tables:
+            b = table[a]
+            if b not in transversal:
+                transversal[b] = transversal[a].translate(table)
+                queue.append(b)
+    most = max(limit, 1)
+    if len(transversal) > most:
+        raise _exceeded(limit, "states")
+    most_seen = most // len(transversal)
+    inverses = {b: bytes.maketrans(u, identity) for b, u in transversal.items()}
+    seen = {identity: None}
+    schreier_tables: list[bytes] = []
+    for a, u in transversal.items():
+        for table in tables:
+            schreier = u.translate(table).translate(inverses[table[a]])
+            if schreier not in seen:
+                schreier_tables.append(schreier + bytes(256 - m))
+                _close(seen, list(seen), schreier_tables, most_seen, limit, "states")
+    return len(transversal) * len(seen)
 
 
 def tuple_transitivity_order(
@@ -535,13 +574,19 @@ def tuple_transitivity_order(
     """Size of the orbit of (0, 1, ..., t-1) under the generated group.
 
     Equal to the group order exactly when the action is sharply
-    t-transitive.  Generators on more than ``MAX_CHAIN_POINTS`` points
-    are refused before any state is built.
+    t-transitive; at t = degree the action is regular, and the search
+    enumerates the whole group.  More than ``node_cap`` tuples raises,
+    where a cap below 1 counts as 1: the start tuple alone never raises.
+    Generators on more than ``MAX_CHAIN_POINTS`` points are refused
+    before any state is built.
     """
     m = _common_degree(generators)
     if not 0 <= t <= m:
         raise ShuffleLabError(f"tuple length {t} out of range for degree {m}")
-    return _orbit_size([g.images for g in generators], range(t), node_cap, "nodes")
+    start = bytes(range(t))
+    seen = {start: None}
+    _close(seen, [start], _tables(generators, m), max(node_cap, 1), node_cap, "nodes")
+    return len(seen)
 
 
 def permutation_parity(p: Permutation) -> Literal["even", "odd"]:
@@ -557,7 +602,7 @@ def group_order(family: Family, size: int) -> int:
 
     A certified chain's order stands on the invariant bound it meets.  A
     scanned chain's order within ``BRUTE_FORCE_LIMIT`` is checked against
-    the enumeration oracle, and a disagreement raises.
+    ``brute_force_order``'s count, and a disagreement raises.
     """
     check_deck_size(size)
     generators = family_generators(family, size)

@@ -298,8 +298,8 @@ def horseshoe_position_step(k: int, pos: str, kind: Shuffle) -> str:
     """
     if kind not in (Shuffle.HORSE_IN, Shuffle.HORSE_OUT):
         raise ShuffleLabError(f"expected a horseshoe shuffle, got {kind}")
-    if k < 1:
-        raise ShuffleLabError(f"k must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ShuffleLabError(f"k must be >= 1, got {k!r}")
     if len(pos) != k or any(c not in "01" for c in pos):
         raise ShuffleLabError(f"position must be a {k}-bit string, got {pos!r}")
     x = int(pos, 2)

@@ -109,13 +109,15 @@ def diagram_cycle(k: int) -> tuple[DiagramOp, ...]:
 
 
 def _check_k(k: int) -> None:
-    if not 1 <= k <= MAX_K:
-        raise ShuffleLabError(f"k must be in 1..{MAX_K}, got {k}")
+    """Refuse a k that is no int (a bool is none) or outside 1..MAX_K."""
+    if type(k) is not int or not 1 <= k <= MAX_K:
+        raise ShuffleLabError(f"k must be in 1..{MAX_K}, got {k!r}")
 
 
 def _check_value(value: int, k: int, what: str) -> None:
-    if not 0 <= value < 1 << k:
-        raise ShuffleLabError(f"{what} {value} out of range for k={k}")
+    """Refuse a card value that is no int or outside 0..2^k - 1; k is checked."""
+    if type(value) is not int or not 0 <= value < 1 << k:
+        raise ShuffleLabError(f"{what} {value!r} out of range for k={k}")
 
 
 class SpecialOrdering(_Record):

@@ -189,6 +189,14 @@ def test_second_position_cycle_rejects_non_powers():
             second_position_cycle(size)
 
 
+@pytest.mark.parametrize("size", [16.0, "16", True], ids=["float", "text", "bool"])
+def test_second_position_cycle_refuses_sizes_that_are_no_int(size):
+    with pytest.raises(
+        ShuffleLabError, match=rf"^size must be a power of two >= 4, got {size!r}$"
+    ):
+        second_position_cycle(size)
+
+
 def test_more_minimal_words_than_the_cap_are_refused(monkeypatch):
     assert len(shortest_words(10, Family.HORSESHOE, 2, 0).words) == 2
     monkeypatch.setattr(elmsley, "MAX_WORDS", 1)

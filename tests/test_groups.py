@@ -462,13 +462,29 @@ def test_the_oracles_refuse_a_degree_above_the_budget_before_any_state(monkeypat
     def fail(*args):
         raise AssertionError("an oracle built states before refusing its degree")
 
-    monkeypatch.setattr(groups, "_orbit_size", fail)
+    # both oracles build their tables and close their states through these
+    monkeypatch.setattr(groups, "_tables", fail)
+    monkeypatch.setattr(groups, "_close", fail)
     for degree in (257, 300, 65536):
         gens = [_cycle(degree)]
         with _over_budget(degree):
             brute_force_order(gens)
         with _over_budget(degree):
             tuple_transitivity_order(gens, 1)
+
+
+def test_the_order_oracle_runs_no_chain_code(monkeypatch):
+    # orbit times stabilizer through translate tables alone, so the oracle
+    # cannot share a fault with the chain it checks
+    horse, faro = (family_generators(f, 12) for f in (Family.HORSESHOE, Family.FARO))
+
+    def fail(*args):
+        raise AssertionError("the oracle ran chain code")
+
+    for name in ("_compose", "_inverse", "_Level", "StabilizerChain"):
+        monkeypatch.setattr(groups, name, fail)
+    assert brute_force_order(horse) == 95040
+    assert brute_force_order(faro) == 7680
 
 
 @settings(max_examples=50, deadline=None)
@@ -615,6 +631,9 @@ def test_every_order_carries_its_evidence(family):
             assert chain.order == bound, (family, size)
         if chain.order <= groups.BRUTE_FORCE_LIMIT:
             assert chain.order == brute_force_order(gens), (family, size)
+            # the regular action's orbit: every element of the group, one by one
+            whole = tuple_transitivity_order(gens, chain.degree)
+            assert chain.order == whole, (family, size)
         assert group_order(family, size) == chain.order, (family, size)
 
 

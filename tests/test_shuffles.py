@@ -355,6 +355,12 @@ def test_position_step_needs_at_least_one_bit():
         horseshoe_position_step(0, "", Shuffle.HORSE_IN)
 
 
+@pytest.mark.parametrize("k, shown", [(4.0, "4.0"), ("4", "'4'"), (True, "True")])
+def test_position_step_refuses_a_k_that_is_no_int(k, shown):
+    with pytest.raises(ShuffleLabError, match=f"^k must be >= 1, got {shown}$"):
+        horseshoe_position_step(k, "1011", Shuffle.HORSE_IN)
+
+
 def test_family_parse_refuses_unknown_names():
     assert Family.parse(" Horse ") is Family.HORSESHOE
     with pytest.raises(ShuffleLabError, match="unknown family 'bogus'"):

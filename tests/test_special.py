@@ -382,3 +382,24 @@ def test_largest_k_is_the_largest_deck():
     assert 1 << MAX_K == MAX_DECK_SIZE
     with pytest.raises(ShuffleLabError, match=r"^k must be in 1\.\.16, got 17$"):
         generate(MAX_K + 1, 0, DiagramOp.complement())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: trick_session(3.0, []), "k must be in 1..16, got 3.0"),
+        (lambda: generate(3.0, 0, DiagramOp(0)), "k must be in 1..16, got 3.0"),
+        (lambda: card_value("A", 3.0), "k must be in 1..16, got 3.0"),
+        (lambda: predict_from_ends(True, 0, 1), "k must be in 1..16, got True"),
+        (lambda: predict_from_ends("3", 0, 1), "k must be in 1..16, got '3'"),
+        (lambda: predict_from_ends(3, 0, 7.5), "right end 7.5 out of range for k=3"),
+        (lambda: predict_from_ends(3, True, 0), "left end True out of range for k=3"),
+        (lambda: generate(3, 1.0, DiagramOp(0)), "first card 1.0 out of range for k=3"),
+    ],
+    ids=["trick-float-k", "generate-float-k", "card-float-k", "bool-k", "text-k",
+         "float-end", "bool-end", "float-first"],
+)
+def test_a_k_or_card_that_is_no_int_is_refused(call, message):
+    # a bool is no int here: predict_from_ends(True, 0, 1) once returned k=True
+    with pytest.raises(ShuffleLabError, match=f"^{re.escape(message)}$"):
+        call()
