@@ -400,6 +400,6 @@ def test_largest_k_is_the_largest_deck():
          "float-end", "bool-end", "float-first"],
 )
 def test_a_k_or_card_that_is_no_int_is_refused(call, message):
-    # a bool is no int here: predict_from_ends(True, 0, 1) once returned k=True
+    # a bool is no int here, so True is refused as a k and as a card
     with pytest.raises(ShuffleLabError, match=f"^{re.escape(message)}$"):
         call()
