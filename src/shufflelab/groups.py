@@ -12,15 +12,22 @@ preserve (``_order_bound``), which proves it.  Where the bound exceeds
 the order, the classical Schreier-Sims scan completes the chain, and
 ``group_order`` checks a scanned order within ``BRUTE_FORCE_LIMIT``
 against a brute-force count, ``brute_force_order``: the orbit of point 0
-times its stabilizer, enumerated through translate tables without chain
-code.  The test suite checks both kinds against that count, and against
-an enumeration of the whole group, over every family at every even size
-up to 40 and the powers of two within the chain budget,
-``MAX_CHAIN_POINTS``.  All arithmetic is exact
-Python integers; the orders here overflow 64 bits already at twenty
-cards.  Permutations inside the chain are plain image tuples, and
-``deck._compose(p, q)`` multiplies them: p, then q.  The closed forms
+times its stabilizer, enumerated coset by coset without chain code.  The
+test suite checks both kinds against that count, and against an
+enumeration of the whole group, over every family at every even size up
+to 40 and the powers of two within the chain budget,
+``MAX_CHAIN_POINTS``.  All arithmetic is exact Python integers; the
+orders here overflow 64 bits already at twenty cards.  The closed forms
 of the order theorems are tabulated for verification runs.
+
+Two element types share the work.  The chain's levels hold plain image
+tuples, and ``deck._compose(p, q)`` multiplies them: p, then q; the
+random phase and every sift work on those.  The proofs, the completion
+scan and both oracles, work in C-level batches over 256-byte
+``bytes.translate`` tables, which the chain budget of 256 points allows:
+for the bytes p of an element's images and a table q, ``p.translate(q)``
+is the same product, and ``map(bytes.translate, ...)`` makes many at
+once.
 """
 
 from __future__ import annotations
@@ -29,7 +36,16 @@ import math
 import random
 from collections import deque
 from itertools import count, islice, repeat
-from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Literal,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .deck import (
     Permutation,
@@ -50,7 +66,7 @@ from .shuffles import Family, check_family, element, family_in_out
 MAX_CHAIN_POINTS = 256
 #: Order budget of both oracles' default limits, and the largest scanned-chain
 #: order that ``group_order`` counts by brute force.  The limit bounds the
-#: order: ``brute_force_order`` holds at most limit // |orbit| + 1 stabilizer
+#: order: ``brute_force_order`` holds at most limit // |orbit| stabilizer
 #: states, and ``tuple_transitivity_order`` at most limit + 1 tuples.
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -79,15 +95,28 @@ def family_generators(family: Family, size: int) -> list[Permutation]:
     return [element(in_kind, size).perm, element(out_kind, size).perm]
 
 
+def _check_int(value: object, name: str) -> None:
+    """Refuse a value whose type is not ``int``, a bool included."""
+    if type(value) is not int:
+        raise ShuffleLabError(f"{name} must be an int, got {value!r}")
+
+
 def _common_degree(
     generators: Sequence[Permutation], degree: Optional[int] = None
 ) -> int:
     """The degree every generator acts on: ``degree``, else the first one's.
 
-    A degree above ``MAX_CHAIN_POINTS`` is refused with ``CapExceededError``.
+    A generator that is no ``Permutation`` and a degree that is no int
+    (a bool included) or is negative are refused; a degree above
+    ``MAX_CHAIN_POINTS`` is refused with ``CapExceededError``.
     """
+    for g in generators:
+        if not isinstance(g, Permutation):
+            raise ShuffleLabError(f"generators must be Permutations, got {g!r}")
     if degree is None:
         degree = generators[0].degree if generators else 0
+    elif type(degree) is not int or degree < 0:
+        raise ShuffleLabError(f"degree must be an int >= 0, got {degree!r}")
     if any(g.degree != degree for g in generators):
         raise ShuffleLabError("generators must act on the same points")
     if degree > MAX_CHAIN_POINTS:
@@ -96,6 +125,19 @@ def _common_degree(
             f" of {MAX_CHAIN_POINTS} points"
         )
     return degree
+
+
+#: The identity on every byte value, the padding of every translate table.
+_IDENTITY_TABLE = bytes(range(256))
+
+
+def _padded(images: Sequence[int]) -> bytes:
+    """The permutation as a 256-byte translate table, the identity above its degree.
+
+    For the bytes p of an element's images, ``p.translate(_padded(q))`` is
+    p, then q; ``MAX_CHAIN_POINTS`` = 256 lets every element be a table.
+    """
+    return bytes(images) + _IDENTITY_TABLE[len(images) :]
 
 
 # -- stabilizer chain ---------------------------------------------------------
@@ -111,6 +153,8 @@ _WARMUP_STEPS = 40
 #: suggests that the bound exceeds the order; a wrong guess costs only time,
 #: as the scan completes any chain.
 _IDLE_SIFTS = 30
+#: Most Schreier generators the completion scan sifts in one batch.
+_SCAN_BATCH = 1024
 
 
 def _is_odd(images: Sequence[int]) -> bool:
@@ -269,15 +313,27 @@ class _Level:
                     coset[b] = _compose(h_inv, coset[a])
                     queue.append(b)
 
-    def schreier_generators(
-        self, points: Iterable[int], gens: Sequence[tuple[int, ...]]
-    ) -> Iterator[tuple[int, ...]]:
-        """u_a h u_{h(a)}^-1 for each point a, then each generator h."""
-        coset = self.coset
-        for a in points:
-            u_a = _inverse(coset[a])
-            for h in gens:
-                yield _compose(_compose(u_a, h), coset[h[a]])
+    def coset_tables(self) -> dict[int, bytes]:
+        """u_b^-1 for every orbit point b, as translate tables (``_padded``)."""
+        return {b: _padded(u) for b, u in self.coset.items()}
+
+
+def _schreier_generators(
+    coset: dict[int, bytes], gens: Sequence[bytes], degree: int
+) -> Iterator[bytes]:
+    """u_a h u_{h(a)}^-1 for each orbit point a, then each generator h.
+
+    ``coset`` maps each orbit point b to u_b^-1, and ``gens`` holds the
+    generators, all as translate tables.  Each result is the bytes of its
+    ``degree`` images, so a product with it walks ``degree`` bytes, not
+    256.  u_a is read off the ``bytes.maketrans`` table of u_a^-1, and
+    one point's Schreier generators, over all of ``gens``, are three
+    ``map`` calls.
+    """
+    for a, u_a_inv in coset.items():
+        u_a = bytes.maketrans(u_a_inv, _IDENTITY_TABLE)[:degree]
+        targets = map(coset.__getitem__, map(itemgetter(a), gens))
+        yield from map(bytes.translate, map(u_a.translate, gens), targets)
 
 
 class StabilizerChain:
@@ -300,11 +356,18 @@ class StabilizerChain:
     ``certified`` tells which path closed the chain.
 
     The scan sifts the Schreier generators of each level, deepest level
-    first, through the levels below it.  A residue is registered at the
-    level where it stopped, and the scan resumes there: the levels below
-    that one did not change, and each is complete for the group its own
-    generators generate.  The chain is complete when level 0 passes.
-    ``verify`` runs the same scan and raises on any residue.
+    first, through the levels below it.  The first residue, in the order
+    of points and then generators, is registered at the level where it
+    stopped, and the scan resumes there: the levels below that one did
+    not change, and each is complete for the group its own generators
+    generate.  The chain is complete when level 0 passes.  ``verify``
+    runs the same scan and raises on any residue.  The scan works on
+    translate tables (``_padded``): each level's coset table is
+    converted once, and up to ``_SCAN_BATCH`` Schreier generators at a
+    time go through the deeper levels one level per ``map`` call
+    (``_sift_batch``), with the same residue and depth as ``_sift_tuple``
+    one at a time.  The residue is converted back to a tuple, so the
+    chain is the same.
 
     Base points are the smallest point each new level's generator
     moves.  A generator introduced at level j fixes the first j base
@@ -338,9 +401,10 @@ class StabilizerChain:
             # random residues alone).  Only the points and generators the
             # seed left are used: both are taken before the first sift.
             level = self._levels[0]
-            seeded = level.schreier_generators(list(level.coset), list(level.gens))
+            tables = list(map(_padded, level.gens))
+            seeded = _schreier_generators(level.coset_tables(), tables, self.degree)
             for schreier in seeded:
-                self._extend(schreier, 1)
+                self._extend(tuple(schreier), 1)
         images = [g.images for g in gens]
         self._certified = self._random_phase(images, _order_bound(images, self.degree))
         if not self._certified:
@@ -386,24 +450,69 @@ class StabilizerChain:
         """Sift every Schreier generator, the deepest level first.
 
         At the first residue, register it and resume at its level if
-        ``complete``, else raise.
+        ``complete``, else raise.  Each level's coset table is converted
+        once into translate tables; a registration at depth j changes
+        levels 0..j, whose tables are dropped.
         """
-        i = len(self._levels) - 1
+        levels = self._levels
+        tables: dict[int, dict[int, bytes]] = {}
+
+        def coset_tables(j: int) -> dict[int, bytes]:
+            if j not in tables:
+                tables[j] = levels[j].coset_tables()
+            return tables[j]
+
+        i = len(levels) - 1
         while i >= 0:
-            level = self._levels[i]
+            gens = list(map(_padded, levels[i].gens))
+            schreier = _schreier_generators(coset_tables(i), gens, self.degree)
             # the scan stops at the first residue, before it is registered
             # and the level's tables change
-            for schreier in level.schreier_generators(level.coset, level.gens):
-                residue, depth = self._sift_tuple(schreier, i + 1)
-                if residue is not None:
+            while batch := list(islice(schreier, _SCAN_BATCH)):
+                found = self._sift_batch(batch, i + 1, coset_tables)
+                if found is not None:
                     break
             else:
                 i -= 1
                 continue
             if not complete:
                 raise ShuffleLabError("stabilizer chain failed verification")
-            self._register(residue, depth)
+            residue, depth = found
+            self._register(tuple(residue), depth)
+            for j in range(depth + 1):
+                tables.pop(j, None)
             i = depth
+
+    def _sift_batch(
+        self,
+        batch: list[bytes],
+        start: int,
+        coset_tables: Callable[[int], dict[int, bytes]],
+    ) -> Optional[tuple[bytes, int]]:
+        """Sift the batch from level ``start``: the first residue and its depth.
+
+        They are what ``_sift_tuple`` gives for the first element that
+        does not sift to the identity; None if every element does.  The
+        batch goes through one level per ``map`` call.  At a level
+        where some element has no coset representative, the batch is cut
+        before the first such element, which is the answer unless one
+        before it stops at a deeper level.
+        """
+        found = None
+        for j in range(start, len(self._levels)):
+            table = coset_tables(j)
+            reps = list(map(table.get, map(itemgetter(self._levels[j].beta), batch)))
+            if None in reps:
+                cut = reps.index(None)
+                found = batch[cut], j
+                del batch[cut:], reps[cut:]
+                if not batch:
+                    return found
+            batch = list(map(bytes.translate, batch, reps))
+        identity = list(map(_IDENTITY_TABLE[: self.degree].__eq__, batch))
+        if False in identity:
+            return batch[identity.index(False)], len(self._levels)
+        return found
 
     def _sift_tuple(
         self, g: tuple[int, ...], start: int
@@ -446,13 +555,19 @@ class StabilizerChain:
 
     def sift(self, p: Permutation) -> Permutation:
         """The residue after stripping coset representatives level by level."""
+        if not isinstance(p, Permutation):
+            raise ShuffleLabError(f"sift takes a Permutation, got {p!r}")
         if p.degree != self.degree:
             raise ShuffleLabError("degree mismatch")
         residue, _ = self._sift_tuple(p.images, 0)
         return _unchecked(Permutation, self._identity if residue is None else residue)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.degree == self.degree and self._sift_tuple(p.images, 0)[0] is None
+        return (
+            isinstance(p, Permutation)
+            and p.degree == self.degree
+            and self._sift_tuple(p.images, 0)[0] is None
+        )
 
     def verify(self) -> None:
         """Recheck that every Schreier generator sifts to the identity."""
@@ -469,9 +584,9 @@ def schreier_sims(
 # -- brute-force oracles ------------------------------------------------------
 
 
-def _tables(generators: Sequence[Permutation], degree: int) -> list[bytes]:
+def _tables(generators: Sequence[Permutation]) -> list[bytes]:
     """The generators as 256-byte ``bytes.translate`` tables."""
-    return [bytes(g.images) + bytes(256 - degree) for g in generators]
+    return [_padded(g.images) for g in generators]
 
 
 def _exceeded(cap: int, what: str) -> CapExceededError:
@@ -518,6 +633,38 @@ def _close(
         frontier = list(islice(reversed(seen), len(seen) - before))
 
 
+def _add_cosets(
+    seen: dict[bytes, None], tables: Sequence[bytes], most: int, cap: int
+) -> None:
+    """Grow the states ``seen`` to the group the tables generate.
+
+    ``seen`` holds a subgroup H of that group, the identity first, and
+    the group is a union of right cosets H r, the first one H itself
+    (Dimino's algorithm; Butler, *Fundamental Algorithms for Permutation
+    Groups*, 1991).  For each coset representative r, in the order they
+    are found, and each table g: if r g is new, its whole coset H (r g)
+    goes in with one ``map`` call, and r g becomes a representative.  A
+    union of right cosets of H that holds the identity and is closed
+    under every generator is the group.  The states are bytes, as in
+    ``_close``.
+
+    More than ``most`` states raises, with ``cap`` in the text.  The
+    check comes before each coset goes in, so the dict never holds more
+    than ``most`` states and the check is exact.
+    """
+    subgroup = list(seen)
+    representatives = subgroup[:1]  # the identity
+    for r in representatives:
+        for table in tables:
+            x = r.translate(table)
+            if x not in seen:
+                if len(seen) + len(subgroup) > most:
+                    raise _exceeded(cap, "states")
+                coset = map(bytes.translate, subgroup, repeat(_padded(x)))
+                seen.update(zip(coset, repeat(None)))
+                representatives.append(x)
+
+
 def brute_force_order(
     generators: Sequence[Permutation], limit: int = BRUTE_FORCE_LIMIT
 ) -> int:
@@ -529,19 +676,21 @@ def brute_force_order(
     u_{g(a)}^-1, over orbit points a and generators g (Seress,
     *Permutation Group Algorithms*, 2003, sec. 4.1).  Each one that the
     stabilizer's states do not hold yet becomes a generator, at least
-    doubling the subgroup, and the states are closed under all of them
-    breadth-first (``_close``).  Products are ``bytes.translate`` calls
-    and inverses ``bytes.maketrans`` tables: no chain code runs, so the
-    count is independent of the chain's.
+    doubling the subgroup, and the subgroup grows to the group of all of
+    them by right cosets, each translated in one ``map`` call
+    (``_add_cosets``).  Products are ``bytes.translate`` calls and
+    inverses ``bytes.maketrans`` tables: no chain code runs, so the count
+    is independent of the chain's.
 
     An order above ``limit`` raises instead of returning a partial
     count, where a limit below 1 counts as 1; the stabilizer's states
-    never number more than limit // |orbit| + 1.  Generators on more
-    than ``MAX_CHAIN_POINTS`` points are refused before any state is
-    built.
+    never number more than max(limit, 1) // |orbit|.  A limit that is no
+    int is refused, and so are generators on more than
+    ``MAX_CHAIN_POINTS`` points, before any state is built.
     """
+    _check_int(limit, "limit")
     m = _common_degree(generators)
-    tables = _tables(generators, m)
+    tables = _tables(generators)
     identity = bytes(range(m))
     # on no points the padded tables still send 0 to 0: degree 0 counts 1
     transversal = {0: identity}
@@ -563,8 +712,8 @@ def brute_force_order(
         for table in tables:
             schreier = u.translate(table).translate(inverses[table[a]])
             if schreier not in seen:
-                schreier_tables.append(schreier + bytes(256 - m))
-                _close(seen, list(seen), schreier_tables, most_seen, limit, "states")
+                schreier_tables.append(_padded(schreier))
+                _add_cosets(seen, schreier_tables, most_seen, limit)
     return len(transversal) * len(seen)
 
 
@@ -577,20 +726,24 @@ def tuple_transitivity_order(
     t-transitive; at t = degree the action is regular, and the search
     enumerates the whole group.  More than ``node_cap`` tuples raises,
     where a cap below 1 counts as 1: the start tuple alone never raises.
-    Generators on more than ``MAX_CHAIN_POINTS`` points are refused
-    before any state is built.
+    A t or cap that is no int is refused, and so are generators on more
+    than ``MAX_CHAIN_POINTS`` points, before any state is built.
     """
+    _check_int(t, "tuple length")
+    _check_int(node_cap, "node cap")
     m = _common_degree(generators)
     if not 0 <= t <= m:
         raise ShuffleLabError(f"tuple length {t} out of range for degree {m}")
     start = bytes(range(t))
     seen = {start: None}
-    _close(seen, [start], _tables(generators, m), max(node_cap, 1), node_cap, "nodes")
+    _close(seen, [start], _tables(generators), max(node_cap, 1), node_cap, "nodes")
     return len(seen)
 
 
 def permutation_parity(p: Permutation) -> Literal["even", "odd"]:
     """Parity of a permutation, from its cycle structure."""
+    if not isinstance(p, Permutation):
+        raise ShuffleLabError(f"parity takes a Permutation, got {p!r}")
     return "odd" if _is_odd(p.images) else "even"
 
 
@@ -683,8 +836,8 @@ def _closed_form_horseshoe(size: int) -> ClosedForm:
 
 def factored(n: int) -> str:
     """Prime factorization as display text, e.g. ``2^6 * 3^3 * 5 * 11``."""
-    if n < 1:
-        raise ShuffleLabError(f"cannot factor {n}")
+    if type(n) is not int or n < 1:
+        raise ShuffleLabError(f"cannot factor {n!r}")
     if n == 1:
         return "1"
     parts = []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from shufflelab import groups
-from shufflelab.deck import Permutation, ShuffleLabError
+from shufflelab.deck import Permutation, ShuffleLabError, _compose, _inverse
 from shufflelab.elmsley import PositionGraph, shortest_words
 from shufflelab.groups import (
     CapExceededError,
@@ -370,6 +370,103 @@ def test_the_scan_alone_completes_a_bare_chain(images):
     assert chain.order == brute_force_order([Permutation(g) for g in images])
 
 
+def _sequential_scan(chain, complete):
+    """The completion scan one Schreier generator at a time, on image tuples.
+
+    The reference for ``StabilizerChain._scan``, which sifts translate tables
+    in batches: it must register the same residues at the same depths.
+    """
+    levels = chain._levels
+    i = len(levels) - 1
+    while i >= 0:
+        level = levels[i]
+        found = None
+        for a in level.coset:
+            u_a = _inverse(level.coset[a])
+            for h in level.gens:
+                schreier = _compose(_compose(u_a, h), level.coset[h[a]])
+                residue, depth = chain._sift_tuple(schreier, i + 1)
+                if residue is not None:
+                    found = residue, depth
+                    break
+            if found is not None:
+                break
+        if found is None:
+            i -= 1
+            continue
+        if not complete:
+            raise ShuffleLabError("stabilizer chain failed verification")
+        chain._register(*found)
+        i = found[1]
+
+
+def _bare_chain(images):
+    """Every generator but the identity registered at level 0, and nothing else."""
+    m = len(images[0])
+    chain = StabilizerChain([], degree=m)
+    for g in images:
+        if tuple(g) != tuple(range(m)):
+            chain._register(tuple(g), 0)
+    return chain
+
+
+def _shape(chain):
+    strong = [g.images for g in chain.strong_generators()]
+    return chain.base, chain.orbit_sizes(), strong
+
+
+def _wreath_element(b, blocks, inner):
+    """The element of S_b wr S_k that sends point (i, x) to (blocks[i], inner[i][x])."""
+    return tuple(blocks[i] * b + x for i, images in enumerate(inner) for x in images)
+
+
+def _direct_element(*factors):
+    """The element of S_m1 x S_m2 x ... acting on consecutive runs of points."""
+    images, start = [], 0
+    for factor in factors:
+        images += [start + x for x in factor]
+        start += len(factor)
+    return tuple(images)
+
+
+#: Imprimitive and intransitive generating sets whose bare scans register
+#: residues, with their orders: S_2 wr S_4 (384), a subgroup of S_3 wr S_3
+#: (648), two random elements of S_4 wr S_3 (all 82,944) and of S_3 wr S_4
+#: (15,552), a subgroup of S_3 x S_4 x S_2 (144), and C_3^4 (81).  The full
+#: batch on the two random sets, and batches of 3 on the S_3 x S_4 x S_2 one,
+#: cut a batch at one level and then find an earlier element's residue at a
+#: deeper one.
+SCAN_GROUPS = [
+    [_wreath_element(2, (1, 2, 3, 0), [(0, 1)] * 4),
+     _wreath_element(2, (1, 0, 2, 3), [(1, 0), (0, 1), (0, 1), (0, 1)])],
+    [_wreath_element(3, (1, 2, 0), [(1, 2, 0), (0, 1, 2), (0, 1, 2)]),
+     _wreath_element(3, (1, 0, 2), [(1, 0, 2), (0, 1, 2), (0, 1, 2)])],
+    [(7, 4, 6, 5, 9, 10, 11, 8, 0, 3, 1, 2), (10, 9, 8, 11, 6, 5, 7, 4, 1, 2, 0, 3)],
+    [(7, 8, 6, 1, 2, 0, 4, 3, 5, 9, 11, 10), (5, 4, 3, 6, 7, 8, 10, 11, 9, 2, 0, 1)],
+    [_direct_element((1, 2, 0), (1, 2, 3, 0), (1, 0)),
+     _direct_element((1, 0, 2), (1, 0, 2, 3), (0, 1))],
+    [_direct_element(*[(0, 1, 2)] * j, (1, 2, 0), *[(0, 1, 2)] * (3 - j))
+     for j in range(4)],
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, groups._SCAN_BATCH])
+@pytest.mark.parametrize("images", BARE_SCAN_CASES + SCAN_GROUPS)
+def test_the_batch_scan_registers_what_the_sequential_scan_does(
+    monkeypatch, images, batch
+):
+    # small batches cut at every level where a residue stops, so the first
+    # residue in scan order, not the shallowest one, must be registered
+    monkeypatch.setattr(groups, "_SCAN_BATCH", batch)
+    reference = _bare_chain(images)
+    _sequential_scan(reference, complete=True)
+    chain = _bare_chain(images)
+    chain._scan(complete=True)
+    assert _shape(chain) == _shape(reference)
+    chain.verify()
+    assert chain.order == brute_force_order([Permutation(g) for g in images])
+
+
 #: SHA-256 over base, orbit sizes, strong generators and ``certified`` of the
 #: chains of CHAIN_SHAPE_CASES.  Equal orders do not imply equal chains: this
 #: pins the registration order of the seed, random and completion phases.
@@ -462,9 +559,10 @@ def test_the_oracles_refuse_a_degree_above_the_budget_before_any_state(monkeypat
     def fail(*args):
         raise AssertionError("an oracle built states before refusing its degree")
 
-    # both oracles build their tables and close their states through these
+    # both oracles build their tables and states through these
     monkeypatch.setattr(groups, "_tables", fail)
     monkeypatch.setattr(groups, "_close", fail)
+    monkeypatch.setattr(groups, "_add_cosets", fail)
     for degree in (257, 300, 65536):
         gens = [_cycle(degree)]
         with _over_budget(degree):
@@ -534,6 +632,92 @@ def test_oracles_match_a_plain_search(images):
             ):
                 brute_force_order(gens, limit)
     assert brute_force_order(gens, order) == order
+
+
+@st.composite
+def imprimitive_or_intransitive(draw):
+    """Images of 1-3 random elements of S_b wr S_k or of S_m1 x S_m2, on <= 12 points."""
+    if draw(st.booleans()):
+        b = draw(st.integers(2, 6))
+        k = draw(st.integers(2, 12 // b))
+
+        def element():
+            inner = [draw(st.permutations(range(b))) for _ in range(k)]
+            return _wreath_element(b, draw(st.permutations(range(k))), inner)
+
+    else:
+        m1 = draw(st.integers(1, 11))
+        m2 = draw(st.integers(1, 12 - m1))
+
+        def element():
+            factors = (draw(st.permutations(range(m))) for m in (m1, m2))
+            return _direct_element(*factors)
+
+    return [element() for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(imprimitive_or_intransitive(), st.sampled_from([1, 3, groups._SCAN_BATCH]))
+def test_the_chain_and_the_oracles_agree_on_imprimitive_and_intransitive_groups(
+    images, batch
+):
+    # the shuffle groups are transitive, and random generators nearly always
+    # give S_m or A_m: here the invariant bound is loose and the scan decides
+    gens = [Permutation(g) for g in images]
+    m = gens[0].degree
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "_SCAN_BATCH", batch)
+        chain = schreier_sims(gens)
+        chain.verify()
+        patch.setattr(StabilizerChain, "_scan", _sequential_scan)
+        reference = schreier_sims(gens)
+    assert _shape(chain) == _shape(reference)
+    order = chain.order
+    assume(order <= groups.BRUTE_FORCE_LIMIT)
+    assert brute_force_order(gens) == order
+    assert tuple_transitivity_order(gens, m) == order
+    if order > 1:
+        with pytest.raises(CapExceededError, match=f"^orbit exceeded {order - 1} "):
+            brute_force_order(gens, order - 1)
+
+
+def _wreath_generators(b, k):
+    """S_b wr S_k on b * k points: a transposition and a b-cycle in block 0,
+    a swap and a k-cycle of the blocks."""
+    def block(images):
+        return Permutation(_wreath_element(b, range(k), [images] + [range(b)] * (k - 1)))
+
+    def blocks(images):
+        return Permutation(_wreath_element(b, images, [range(b)] * k))
+
+    shift = [*range(1, k), 0]
+    return [block([1, 0, *range(2, b)]), block([*range(1, b), 0]),
+            blocks([1, 0, *range(2, k)]), blocks(shift)]  # fmt: skip
+
+
+def _power_generators(b, k):
+    """S_b^k on b * k points, k orbits: a transposition and a b-cycle in each."""
+    plain = [range(b)] * k
+    gens = []
+    for i in range(k):
+        for images in ([1, 0, *range(2, b)], [*range(1, b), 0]):
+            gens.append(Permutation(_direct_element(*plain[:i], images, *plain[i + 1 :])))
+    return gens
+
+
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        (_wreath_generators(4, 16), math.factorial(4) ** 16 * math.factorial(16)),
+        (_power_generators(8, 8), math.factorial(8) ** 8),
+    ],
+    ids=["S4 wr S16", "S8^8"],
+)
+def test_scanned_chains_of_large_imprimitive_and_intransitive_groups(gens, order):
+    chain = schreier_sims(gens)
+    assert chain.degree == 64
+    assert not chain.certified
+    assert chain.order == order
 
 
 # -- group orders -------------------------------------------------------------
@@ -851,6 +1035,42 @@ def test_sift_refuses_a_permutation_of_another_degree():
     chain = schreier_sims(family_generators(Family.FARO, 8))
     with pytest.raises(ShuffleLabError, match="degree mismatch"):
         chain.sift(Permutation.identity(6))
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: StabilizerChain([], degree=-1), "degree must be an int >= 0, got -1"),
+        (lambda: StabilizerChain([], degree="3"), "degree must be an int >= 0, got '3'"),
+        (lambda: StabilizerChain([], degree=3.0), "degree must be an int >= 0, got 3.0"),
+        (lambda: StabilizerChain([], degree=True), "degree must be an int >= 0, got True"),
+        (lambda: StabilizerChain([(1, 0)]), "generators must be Permutations, got (1, 0)"),
+        (lambda: brute_force_order([[1, 0]]), "generators must be Permutations, got [1, 0]"),
+        (lambda: brute_force_order([_cycle(3)], "10"), "limit must be an int, got '10'"),
+        (lambda: brute_force_order([_cycle(3)], 10.0), "limit must be an int, got 10.0"),
+        (lambda: tuple_transitivity_order([_cycle(3)], 1.0),
+         "tuple length must be an int, got 1.0"),
+        (lambda: tuple_transitivity_order([_cycle(3)], True),
+         "tuple length must be an int, got True"),
+        (lambda: tuple_transitivity_order([_cycle(3)], 1, node_cap="5"),
+         "node cap must be an int, got '5'"),
+        (lambda: schreier_sims([_cycle(3)]).sift((0, 1, 2)),
+         "sift takes a Permutation, got (0, 1, 2)"),
+        (lambda: factored(2.5), "cannot factor 2.5"),
+        (lambda: factored(True), "cannot factor True"),
+        (lambda: permutation_parity((1, 0)), "parity takes a Permutation, got (1, 0)"),
+    ],
+)  # fmt: skip
+def test_the_group_engine_refuses_values_of_the_wrong_type(call, text):
+    with pytest.raises(ShuffleLabError, match=f"^{re.escape(text)}$"):
+        call()
+
+
+def test_membership_of_a_value_that_is_no_permutation_is_false():
+    chain = schreier_sims([_cycle(3)])
+    assert None not in chain
+    assert (1, 2, 0) not in chain
+    assert _cycle(3) in chain
 
 
 def test_factored_refuses_non_positive_numbers():
