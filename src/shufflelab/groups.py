@@ -457,7 +457,7 @@ class StabilizerChain:
         levels = self._levels
         tables: dict[int, dict[int, bytes]] = {}
 
-        def coset_tables(j: int) -> dict[int, bytes]:
+        def level_tables(j: int) -> dict[int, bytes]:
             if j not in tables:
                 tables[j] = levels[j].coset_tables()
             return tables[j]
@@ -465,11 +465,11 @@ class StabilizerChain:
         i = len(levels) - 1
         while i >= 0:
             gens = list(map(_padded, levels[i].gens))
-            schreier = _schreier_generators(coset_tables(i), gens, self.degree)
+            schreier = _schreier_generators(level_tables(i), gens, self.degree)
             # the scan stops at the first residue, before it is registered
             # and the level's tables change
             while batch := list(islice(schreier, _SCAN_BATCH)):
-                found = self._sift_batch(batch, i + 1, coset_tables)
+                found = self._sift_batch(batch, i + 1, level_tables)
                 if found is not None:
                     break
             else:
@@ -487,7 +487,7 @@ class StabilizerChain:
         self,
         batch: list[bytes],
         start: int,
-        coset_tables: Callable[[int], dict[int, bytes]],
+        level_tables: Callable[[int], dict[int, bytes]],
     ) -> Optional[tuple[bytes, int]]:
         """Sift the batch from level ``start``: the first residue and its depth.
 
@@ -500,7 +500,7 @@ class StabilizerChain:
         """
         found = None
         for j in range(start, len(self._levels)):
-            table = coset_tables(j)
+            table = level_tables(j)
             reps = list(map(table.get, map(itemgetter(self._levels[j].beta), batch)))
             if None in reps:
                 cut = reps.index(None)
