@@ -20,14 +20,13 @@ to 40 and the powers of two within the chain budget,
 orders here overflow 64 bits already at twenty cards.  The closed forms
 of the order theorems are tabulated for verification runs.
 
-Two element types share the work.  The chain's levels hold plain image
-tuples, and ``deck._compose(p, q)`` multiplies them: p, then q; the
-random phase and every sift work on those.  The proofs, the completion
-scan and both oracles, work in C-level batches over 256-byte
-``bytes.translate`` tables, which the chain budget of 256 points allows:
-for the bytes p of an element's images and a table q, ``p.translate(q)``
-is the same product, and ``map(bytes.translate, ...)`` makes many at
-once.
+The chain stores one element format, the 256-byte ``bytes.translate``
+table of ``_padded``, which the chain budget of 256 points allows.  For
+the bytes p of an element's images and a table q, ``p.translate(q)`` is
+p, then q; the completion scan and both oracles make many such products
+per ``map`` call, on the stored tables.  The random phase and the
+queries multiply image tuples with ``deck._compose(p, q)``, one
+``itemgetter`` call, which reads a stored table as it reads a tuple.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from collections import deque
 from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import (
-    Callable,
     Iterable,
     Iterator,
     Literal,
@@ -52,7 +50,6 @@ from .deck import (
     ShuffleLabError,
     _compose,
     _cycles,
-    _inverse,
     _Record,
     _unchecked,
     check_deck_size,
@@ -102,29 +99,34 @@ def _check_int(value: object, name: str) -> None:
 
 
 def _common_degree(
-    generators: Sequence[Permutation], degree: Optional[int] = None
-) -> int:
-    """The degree every generator acts on: ``degree``, else the first one's.
+    generators: Iterable[Permutation], degree: Optional[int] = None
+) -> tuple[list[Permutation], int]:
+    """The generators as a list, and ``degree``, else the first one's degree.
 
-    A generator that is no ``Permutation`` and a degree that is no int
-    (a bool included) or is negative are refused; a degree above
-    ``MAX_CHAIN_POINTS`` is refused with ``CapExceededError``.
+    Generators that are no iterable or not all ``Permutation``s, and a
+    degree that is no int (a bool included) or is negative are refused;
+    a degree above ``MAX_CHAIN_POINTS`` is refused with
+    ``CapExceededError``.  Every generator must act on the degree.
     """
-    for g in generators:
+    if not isinstance(generators, Iterable):
+        text = f"generators must be an iterable of Permutations, got {generators!r}"
+        raise ShuffleLabError(text)
+    gens = list(generators)
+    for g in gens:
         if not isinstance(g, Permutation):
             raise ShuffleLabError(f"generators must be Permutations, got {g!r}")
     if degree is None:
-        degree = generators[0].degree if generators else 0
+        degree = gens[0].degree if gens else 0
     elif type(degree) is not int or degree < 0:
         raise ShuffleLabError(f"degree must be an int >= 0, got {degree!r}")
-    if any(g.degree != degree for g in generators):
+    if any(g.degree != degree for g in gens):
         raise ShuffleLabError("generators must act on the same points")
     if degree > MAX_CHAIN_POINTS:
         raise CapExceededError(
             f"group on {degree} points exceeds the chain budget"
             f" of {MAX_CHAIN_POINTS} points"
         )
-    return degree
+    return gens, degree
 
 
 #: The identity on every byte value, the padding of every translate table.
@@ -138,6 +140,27 @@ def _padded(images: Sequence[int]) -> bytes:
     p, then q; ``MAX_CHAIN_POINTS`` = 256 lets every element be a table.
     """
     return bytes(images) + _IDENTITY_TABLE[len(images) :]
+
+
+def _transversal(
+    gens: Sequence[Sequence[int]], identity: Sequence[int], product
+) -> dict[int, Sequence[int]]:
+    """An element u_a that sends 0 to a, for every point a of the orbit of 0.
+
+    A breadth-first walk from u_0 = ``identity``: a generator h that
+    reaches b from a gives u_b = ``product(u_a, h)``, u_a then h.  Tuples
+    with ``deck._compose`` and translate tables with ``bytes.translate``
+    both serve.
+    """
+    transversal = {0: identity}
+    queue = [0]
+    for a in queue:
+        for h in gens:
+            b = h[a]
+            if b not in transversal:
+                transversal[b] = product(transversal[a], h)
+                queue.append(b)
+    return transversal
 
 
 # -- stabilizer chain ---------------------------------------------------------
@@ -194,20 +217,16 @@ def _block_involution(
 
     A candidate y in the orbit of 0 is reached from 0 by some group
     element u_y, and then c(y) = u_y(c(0)) = u_y(y) must be 0, whichever
-    u_y is taken.  The orbit table of a chain level with base point 0
-    holds u_y^-1 for every such y, so u_y(y) = 0 reads u_y^-1(0) = y;
+    u_y is taken.  ``_transversal`` gives one u_y for every such y, and
     the candidates that fail this are skipped without a spread, which
-    would clash.  The table costs one product per orbit point, so only
+    would clash.  The walk costs one product per orbit point, so only
     the candidates that pass pay for a spread along the orbits.
     """
     if degree < 2:
         return None
-    orbit = _Level(0, tuple(range(degree)))
-    for h in gens:
-        orbit.attach(h, _inverse(h))
-    coset = orbit.coset
+    transversal = _transversal(gens, tuple(range(degree)), _compose)
     for y in range(1, degree):
-        if y in coset and coset[y][0] != y:
+        if y in transversal and transversal[y][y] != 0:
             continue
         c = [-1] * degree
         c[0], c[y] = y, 0
@@ -281,15 +300,16 @@ def _random_elements(
 class _Level:
     __slots__ = ("beta", "gens", "inv_gens", "coset")
 
-    def __init__(self, beta: int, identity: tuple[int, ...]):
+    def __init__(self, beta: int):
         self.beta = beta
-        self.gens: list[tuple[int, ...]] = []
-        self.inv_gens: list[tuple[int, ...]] = []
-        # u_b^-1 for every orbit point b, where the coset representative
-        # u_b sends beta to b
-        self.coset = {beta: identity}
+        # generators, their inverses, and u_b^-1 for every orbit point b,
+        # where the coset representative u_b sends beta to b: all translate
+        # tables (``_padded``)
+        self.gens: list[bytes] = []
+        self.inv_gens: list[bytes] = []
+        self.coset = {beta: _IDENTITY_TABLE}
 
-    def attach(self, g: tuple[int, ...], g_inv: tuple[int, ...]) -> None:
+    def attach(self, g: bytes, g_inv: bytes) -> None:
         """Add g to the generators and close the orbit under them.
 
         The old orbit is closed under the old generators, so only g is
@@ -303,19 +323,15 @@ class _Level:
         for a in list(coset):
             b = g[a]
             if b not in coset:
-                coset[b] = _compose(g_inv, coset[a])
+                coset[b] = g_inv.translate(coset[a])
                 queue.append(b)
         while queue:
             a = queue.popleft()
             for h, h_inv in zip(self.gens, self.inv_gens):
                 b = h[a]
                 if b not in coset:
-                    coset[b] = _compose(h_inv, coset[a])
+                    coset[b] = h_inv.translate(coset[a])
                     queue.append(b)
-
-    def coset_tables(self) -> dict[int, bytes]:
-        """u_b^-1 for every orbit point b, as translate tables (``_padded``)."""
-        return {b: _padded(u) for b, u in self.coset.items()}
 
 
 def _schreier_generators(
@@ -361,20 +377,20 @@ class StabilizerChain:
     stopped, and the scan resumes there: the levels below that one did
     not change, and each is complete for the group its own generators
     generate.  The chain is complete when level 0 passes.  ``verify``
-    runs the same scan and raises on any residue.  The scan works on
-    translate tables (``_padded``): each level's coset table is
-    converted once, and up to ``_SCAN_BATCH`` Schreier generators at a
-    time go through the deeper levels one level per ``map`` call
-    (``_sift_batch``), with the same residue and depth as ``_sift_tuple``
-    one at a time.  The residue is converted back to a tuple, so the
-    chain is the same.
+    runs the same scan and raises on any residue.  The scan reads the
+    levels' translate tables as they are stored, with nothing converted:
+    up to ``_SCAN_BATCH`` Schreier generators at a time go through the
+    deeper levels one level per ``map`` call (``_sift_batch``), with the
+    same residue and depth as ``_sift_tuple`` one at a time, and the
+    residue, the bytes of its images, is registered as it is.
 
     Base points are the smallest point each new level's generator
     moves.  A generator introduced at level j fixes the first j base
     points, so it also takes part in the orbits of every level above it;
     orbits grow monotonically and coset representatives are never
-    relabeled.  Each level keeps only the inverse representatives, the
-    factors that sifting strips.  Every registered generator joins
+    relabeled.  Each level keeps its generators, their inverses and only
+    the inverse representatives, the factors that sifting strips, as
+    translate tables (``_padded``).  Every registered generator joins
     level 0, so level 0's generator list is the strong generating set,
     in registration order.  The group order is the product of orbit
     sizes, and an element belongs to the group iff it sifts to the
@@ -386,8 +402,7 @@ class StabilizerChain:
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
-        gens = list(generators)
-        self.degree = _common_degree(gens, degree)
+        gens, self.degree = _common_degree(generators, degree)
         self._identity = tuple(range(self.degree))
         self._levels: list[_Level] = []
         for g in gens:
@@ -401,9 +416,8 @@ class StabilizerChain:
             # random residues alone).  Only the points and generators the
             # seed left are used: both are taken before the first sift.
             level = self._levels[0]
-            tables = list(map(_padded, level.gens))
-            seeded = _schreier_generators(level.coset_tables(), tables, self.degree)
-            for schreier in seeded:
+            coset, tables = dict(level.coset), list(level.gens)
+            for schreier in _schreier_generators(coset, tables, self.degree):
                 self._extend(tuple(schreier), 1)
         images = [g.images for g in gens]
         self._certified = self._random_phase(images, _order_bound(images, self.degree))
@@ -437,12 +451,13 @@ class StabilizerChain:
         self._register(residue, depth)
         return True
 
-    def _register(self, g: tuple[int, ...], j: int) -> None:
-        """Introduce g at level j and attach it to levels 0..j."""
+    def _register(self, g: Sequence[int], j: int) -> None:
+        """Introduce g, a tuple or bytes of images, at level j; attach it to 0..j."""
         if j == len(self._levels):
             beta = min(p for p in range(self.degree) if g[p] != p)
-            self._levels.append(_Level(beta, self._identity))
-        g_inv = _inverse(g)
+            self._levels.append(_Level(beta))
+        g = _padded(g)
+        g_inv = bytes.maketrans(g, _IDENTITY_TABLE)
         for i in range(j + 1):
             self._levels[i].attach(g, g_inv)
 
@@ -450,26 +465,17 @@ class StabilizerChain:
         """Sift every Schreier generator, the deepest level first.
 
         At the first residue, register it and resume at its level if
-        ``complete``, else raise.  Each level's coset table is converted
-        once into translate tables; a registration at depth j changes
-        levels 0..j, whose tables are dropped.
+        ``complete``, else raise.
         """
         levels = self._levels
-        tables: dict[int, dict[int, bytes]] = {}
-
-        def level_tables(j: int) -> dict[int, bytes]:
-            if j not in tables:
-                tables[j] = levels[j].coset_tables()
-            return tables[j]
-
         i = len(levels) - 1
         while i >= 0:
-            gens = list(map(_padded, levels[i].gens))
-            schreier = _schreier_generators(level_tables(i), gens, self.degree)
+            level = levels[i]
+            schreier = _schreier_generators(level.coset, level.gens, self.degree)
             # the scan stops at the first residue, before it is registered
-            # and the level's tables change
+            # and the level it reads changes
             while batch := list(islice(schreier, _SCAN_BATCH)):
-                found = self._sift_batch(batch, i + 1, level_tables)
+                found = self._sift_batch(batch, i + 1)
                 if found is not None:
                     break
             else:
@@ -477,17 +483,11 @@ class StabilizerChain:
                 continue
             if not complete:
                 raise ShuffleLabError("stabilizer chain failed verification")
-            residue, depth = found
-            self._register(tuple(residue), depth)
-            for j in range(depth + 1):
-                tables.pop(j, None)
-            i = depth
+            self._register(*found)
+            i = found[1]
 
     def _sift_batch(
-        self,
-        batch: list[bytes],
-        start: int,
-        level_tables: Callable[[int], dict[int, bytes]],
+        self, batch: list[bytes], start: int
     ) -> Optional[tuple[bytes, int]]:
         """Sift the batch from level ``start``: the first residue and its depth.
 
@@ -500,8 +500,8 @@ class StabilizerChain:
         """
         found = None
         for j in range(start, len(self._levels)):
-            table = level_tables(j)
-            reps = list(map(table.get, map(itemgetter(self._levels[j].beta), batch)))
+            level = self._levels[j]
+            reps = list(map(level.coset.get, map(itemgetter(level.beta), batch)))
             if None in reps:
                 cut = reps.index(None)
                 found = batch[cut], j
@@ -551,7 +551,7 @@ class StabilizerChain:
 
     def strong_generators(self) -> list[Permutation]:
         gens = self._levels[0].gens if self._levels else []
-        return [_unchecked(Permutation, g) for g in gens]
+        return [_unchecked(Permutation, tuple(g[: self.degree])) for g in gens]
 
     def sift(self, p: Permutation) -> Permutation:
         """The residue after stripping coset representatives level by level."""
@@ -666,7 +666,7 @@ def _add_cosets(
 
 
 def brute_force_order(
-    generators: Sequence[Permutation], limit: int = BRUTE_FORCE_LIMIT
+    generators: Iterable[Permutation], limit: int = BRUTE_FORCE_LIMIT
 ) -> int:
     """Group order as the orbit of point 0 times its enumerated stabilizer.
 
@@ -689,18 +689,11 @@ def brute_force_order(
     ``MAX_CHAIN_POINTS`` points, before any state is built.
     """
     _check_int(limit, "limit")
-    m = _common_degree(generators)
+    generators, m = _common_degree(generators)
     tables = _tables(generators)
     identity = bytes(range(m))
     # on no points the padded tables still send 0 to 0: degree 0 counts 1
-    transversal = {0: identity}
-    queue = [0]
-    for a in queue:
-        for table in tables:
-            b = table[a]
-            if b not in transversal:
-                transversal[b] = transversal[a].translate(table)
-                queue.append(b)
+    transversal = _transversal(tables, identity, bytes.translate)
     most = max(limit, 1)
     if len(transversal) > most:
         raise _exceeded(limit, "states")
@@ -718,7 +711,7 @@ def brute_force_order(
 
 
 def tuple_transitivity_order(
-    generators: Sequence[Permutation], t: int, node_cap: int = BRUTE_FORCE_LIMIT
+    generators: Iterable[Permutation], t: int, node_cap: int = BRUTE_FORCE_LIMIT
 ) -> int:
     """Size of the orbit of (0, 1, ..., t-1) under the generated group.
 
@@ -731,7 +724,7 @@ def tuple_transitivity_order(
     """
     _check_int(t, "tuple length")
     _check_int(node_cap, "node cap")
-    m = _common_degree(generators)
+    generators, m = _common_degree(generators)
     if not 0 <= t <= m:
         raise ShuffleLabError(f"tuple length {t} out of range for degree {m}")
     start = bytes(range(t))

@@ -290,6 +290,23 @@ def test_block_involution_skips_candidates_the_orbit_rules_out(monkeypatch):
     assert len(spreads) <= 2
 
 
+def test_the_invariant_bound_runs_no_chain_code(monkeypatch):
+    # the bound proves certified orders, so it must not lean on the chain
+    def fail(*args):
+        raise AssertionError("the bound ran chain code")
+
+    for name in ("_Level", "StabilizerChain"):
+        monkeypatch.setattr(groups, name, fail)
+    bounds = {
+        (Family.FARO, 12): 2**6 * math.factorial(6),
+        (Family.HORSESHOE, 12): math.factorial(12) // 2,
+        (Family.FLIP, 6): 2**6 * math.factorial(6),
+    }
+    for (family, size), bound in bounds.items():
+        gens = [g.images for g in family_generators(family, size)]
+        assert _order_bound(gens, len(gens[0])) == bound, (family, size)
+
+
 @pytest.mark.parametrize("family", list(CHAIN_TOP))
 def test_certified_chain_matches_the_drained_chain(monkeypatch, family):
     for size in range(4, CHAIN_TOP[family] + 1, 2):
@@ -382,7 +399,7 @@ def _sequential_scan(chain, complete):
         level = levels[i]
         found = None
         for a in level.coset:
-            u_a = _inverse(level.coset[a])
+            u_a = _inverse(level.coset[a])[: chain.degree]
             for h in level.gens:
                 schreier = _compose(_compose(u_a, h), level.coset[h[a]])
                 residue, depth = chain._sift_tuple(schreier, i + 1)
@@ -579,7 +596,7 @@ def test_the_order_oracle_runs_no_chain_code(monkeypatch):
     def fail(*args):
         raise AssertionError("the oracle ran chain code")
 
-    for name in ("_compose", "_inverse", "_Level", "StabilizerChain"):
+    for name in ("_compose", "_Level", "StabilizerChain"):
         monkeypatch.setattr(groups, name, fail)
     assert brute_force_order(horse) == 95040
     assert brute_force_order(faro) == 7680
@@ -1064,6 +1081,25 @@ def test_sift_refuses_a_permutation_of_another_degree():
 def test_the_group_engine_refuses_values_of_the_wrong_type(call, text):
     with pytest.raises(ShuffleLabError, match=f"^{re.escape(text)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda gens: StabilizerChain(gens).order,
+        brute_force_order,
+        lambda gens: tuple_transitivity_order(gens, 3),
+    ],
+    ids=["StabilizerChain", "brute_force_order", "tuple_transitivity_order"],
+)
+def test_generators_come_from_any_iterable_and_nothing_else(count):
+    # horseshoe(6) is sharply 3-transitive, of order 6 * 5 * 4
+    gens = family_generators(Family.HORSESHOE, 6)
+    assert count(iter(gens)) == count(tuple(gens)) == 120
+    for value in (None, 5):
+        text = f"generators must be an iterable of Permutations, got {value!r}"
+        with pytest.raises(ShuffleLabError, match=f"^{re.escape(text)}$"):
+            count(value)
 
 
 def test_membership_of_a_value_that_is_no_permutation_is_false():
