@@ -737,6 +737,33 @@ def test_scanned_chains_of_large_imprimitive_and_intransitive_groups(gens, order
     assert chain.order == order
 
 
+#: SHA-256 over base, orbit sizes, strong generators and ``certified`` of the
+#: largest certified shuffle chains within the budget, the two scanned groups
+#: above, and the bare scans of SCAN_GROUPS: the chains that the random phase,
+#: the seed pass and the batch scan build at scale.
+LARGE_CHAIN_DIGEST = "d7fe3510178fb4ca07db05c53005efe43f1ed2d1cb1b70d79f64cbe1e87d78ea"
+
+
+def test_large_chain_shapes_are_pinned():
+    digest = hashlib.sha256()
+    chains = [
+        schreier_sims(family_generators(family, size))
+        for family, size in [
+            (Family.FLIP, 30),
+            (Family.FARO, 254),
+            (Family.HORSESHOE, 254),
+            (Family.FLIP, 126),
+        ]
+    ]
+    chains += [schreier_sims(_wreath_generators(4, 16)), schreier_sims(_power_generators(8, 8))]
+    for images in SCAN_GROUPS:
+        chains.append(_bare_chain(images))
+        chains[-1]._scan(complete=True)
+    for chain in chains:
+        digest.update(repr((*_shape(chain), chain.certified)).encode())
+    assert digest.hexdigest() == LARGE_CHAIN_DIGEST
+
+
 # -- group orders -------------------------------------------------------------
 
 
