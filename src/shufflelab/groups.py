@@ -23,10 +23,12 @@ of the order theorems are tabulated for verification runs.
 The chain stores one element format, the 256-byte ``bytes.translate``
 table of ``_padded``, which the chain budget of 256 points allows.  For
 the bytes p of an element's images and a table q, ``p.translate(q)`` is
-p, then q; the completion scan and both oracles make many such products
-per ``map`` call, on the stored tables.  The random phase and the
-queries multiply image tuples with ``deck._compose(p, q)``, one
-``itemgetter`` call, which reads a stored table as it reads a tuple.
+p, then q.  The random phase and the seed pass make such products one
+at a time, and the completion scan and both oracles many per ``map``
+call, all on the stored tables.  Only the queries (``sift`` and ``in``)
+and ``_block_involution`` still multiply image tuples, with
+``deck._compose(p, q)``, one ``itemgetter`` call, which reads a stored
+table as it reads a tuple.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import (
     Iterable,
@@ -271,28 +273,44 @@ def _order_bound(gens: Sequence[tuple[int, ...]], degree: int) -> int:
     return bound // trivial
 
 
+def _index_pairs(rng: random.Random, n: int) -> Iterator[tuple[int, int]]:
+    """Pairs of distinct indices below n, without end.
+
+    Each index is drawn by the ``getrandbits`` rejection loop that
+    ``randrange`` runs, so a pair is the draws of ``rng.randrange(n)`` and
+    ``rng.randrange(n - 1)``, the second moved to n - 1 where it repeats
+    the first: for n <= 21 that is ``rng.sample(range(n), 2)``.
+    """
+    getrandbits = rng.getrandbits
+    bits, bits_below = n.bit_length(), (n - 1).bit_length()
+    while True:
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        j = getrandbits(bits_below)
+        while j >= n - 1:
+            j = getrandbits(bits_below)
+        yield i, (n - 1 if j == i else j)
+
+
 def _random_elements(
-    gens: Sequence[tuple[int, ...]], rng: random.Random
-) -> Iterator[tuple[int, ...]]:
+    gens: Sequence[Sequence[int]], rng: random.Random
+) -> Iterator[bytes]:
     """Random group elements by product replacement with an accumulator.
 
     A list of at least ten elements starts as copies of the generators;
     each step replaces a random one, s_i, by s_i s_j for another random
     one, and multiplies the accumulator by the result (Celler et al.,
     1995).  In a finite group s_j^-1 is a power of s_j, so the list
-    always generates the group.
+    always generates the group.  The list holds translate tables
+    (``_padded``), and each product is one ``bytes.translate`` call; the
+    accumulator, and each element yielded, is the bytes of its images.
     """
-    slots = [gens[i % len(gens)] for i in range(max(10, 2 * len(gens)))]
-    n = len(slots)
-    x = slots[0]
-    for step in count():
-        # two distinct indices; the same draws as rng.sample(range(n), 2)
-        # for n <= 21 (up to ten generators), without its argument checks
-        i, j = rng.randrange(n), rng.randrange(n - 1)
-        if j == i:
-            j = n - 1
-        slots[i] = _compose(slots[i], slots[j])
-        x = _compose(x, slots[i])
+    slots = [_padded(gens[i % len(gens)]) for i in range(max(10, 2 * len(gens)))]
+    x = slots[0][: len(gens[0])]
+    for step, (i, j) in enumerate(_index_pairs(rng, len(slots))):
+        slots[i] = slots[i].translate(slots[j])
+        x = x.translate(slots[i])
         if step >= _WARMUP_STEPS:
             yield x
 
@@ -334,6 +352,13 @@ class _Level:
                     queue.append(b)
 
 
+def _distinct(batch: Iterable[bytes], identity: bytes) -> list[bytes]:
+    """The batch without the identity and without repeats, first copies in order."""
+    kept = dict.fromkeys(batch)
+    kept.pop(identity, None)
+    return list(kept)
+
+
 def _schreier_generators(
     coset: dict[int, bytes], gens: Sequence[bytes], degree: int
 ) -> Iterator[bytes]:
@@ -369,7 +394,10 @@ class StabilizerChain:
     ``_IDLE_SIFTS`` consecutive identity sifts and the classical
     Schreier-Sims scan completes the chain (Holt, Eick & O'Brien,
     *Handbook of CGT*, 2005, ch. 4), so the order is exact either way.
-    ``certified`` tells which path closed the chain.
+    ``certified`` tells which path closed the chain.  The seed pass and
+    the random phase sift the bytes of each element's images through the
+    stored tables, one ``bytes.translate`` per level, and the random
+    elements are products of translate tables (``_random_elements``).
 
     The scan sifts the Schreier generators of each level, deepest level
     first, through the levels below it.  The first residue, in the order
@@ -382,7 +410,10 @@ class StabilizerChain:
     up to ``_SCAN_BATCH`` Schreier generators at a time go through the
     deeper levels one level per ``map`` call (``_sift_batch``), with the
     same residue and depth as ``_sift_tuple`` one at a time, and the
-    residue, the bytes of its images, is registered as it is.
+    residue, the bytes of its images, is registered as it is.  A batch
+    sifts each distinct element once: a repeat, or the identity, cannot
+    change the first residue, so the batch drops them on entry and again
+    wherever it outnumbers the chain left below a level.
 
     Base points are the smallest point each new level's generator
     moves.  A generator introduced at level j fixes the first j base
@@ -404,6 +435,7 @@ class StabilizerChain:
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
         gens, self.degree = _common_degree(generators, degree)
         self._identity = tuple(range(self.degree))
+        self._identity_bytes = bytes(self._identity)
         self._levels: list[_Level] = []
         for g in gens:
             self._extend(g.images, 0)
@@ -418,7 +450,7 @@ class StabilizerChain:
             level = self._levels[0]
             coset, tables = dict(level.coset), list(level.gens)
             for schreier in _schreier_generators(coset, tables, self.degree):
-                self._extend(tuple(schreier), 1)
+                self._extend(schreier, 1)
         images = [g.images for g in gens]
         self._certified = self._random_phase(images, _order_bound(images, self.degree))
         if not self._certified:
@@ -443,9 +475,11 @@ class StabilizerChain:
             if self.order == bound:
                 return True
 
-    def _extend(self, g: tuple[int, ...], start: int) -> bool:
-        """Sift g from level ``start`` and register its residue: True if any."""
-        residue, depth = self._sift_tuple(g, start)
+    def _extend(self, g: Sequence[int], start: int) -> bool:
+        """Sift g as bytes from level ``start``; register its residue: True if any."""
+        residue, depth = self._strip(
+            bytes(g), start, bytes.translate, self._identity_bytes
+        )
         if residue is None:
             return False
         self._register(residue, depth)
@@ -497,27 +531,52 @@ class StabilizerChain:
         where some element has no coset representative, the batch is cut
         before the first such element, which is the answer unless one
         before it stops at a deeper level.
+
+        A repeat sifts as its first copy does, and the identity sifts
+        through, so both are dropped (``_distinct``) on entry, and again
+        after each level where the batch is longer than the product of
+        the orbit sizes of the levels below it: the members of the chain
+        left then repeat.  Elsewhere the hashing would find few repeats
+        and cost more than it saves, in deep groups such as S8 wr S16.
         """
+        levels, identity = self._levels, self._identity_bytes
+        # the product of the orbit sizes below each level, the last level first
+        below = [1]
+        for level in reversed(levels[start + 1 :]):
+            below.append(below[-1] * len(level.coset))
+        batch = _distinct(batch, identity)
         found = None
-        for j in range(start, len(self._levels)):
-            level = self._levels[j]
+        for j in range(start, len(levels)):
+            if not batch:
+                return found
+            level = levels[j]
             reps = list(map(level.coset.get, map(itemgetter(level.beta), batch)))
             if None in reps:
                 cut = reps.index(None)
                 found = batch[cut], j
                 del batch[cut:], reps[cut:]
-                if not batch:
-                    return found
             batch = list(map(bytes.translate, batch, reps))
-        identity = list(map(_IDENTITY_TABLE[: self.degree].__eq__, batch))
-        if False in identity:
-            return batch[identity.index(False)], len(self._levels)
-        return found
+            if below.pop() < len(batch):
+                batch = _distinct(batch, identity)
+        residue = next(filter(identity.__ne__, batch), None)
+        return found if residue is None else (residue, len(levels))
 
     def _sift_tuple(
         self, g: tuple[int, ...], start: int
     ) -> tuple[Optional[tuple[int, ...]], int]:
         """Strip coset representatives; (None, -1) means membership."""
+        return self._strip(g, start, _compose, self._identity)
+
+    def _strip(
+        self, g: Sequence[int], start: int, product, identity: Sequence[int]
+    ) -> tuple[Optional[Sequence[int]], int]:
+        """Strip coset representatives from level ``start`` with ``product``.
+
+        The residue, and the level where it found no coset representative
+        (the number of levels if it passed them all); (None, -1) if g
+        strips to ``identity``.  Image tuples with ``deck._compose`` and
+        bytes with ``bytes.translate`` both serve.
+        """
         for idx in range(start, len(self._levels)):
             level = self._levels[idx]
             image = g[level.beta]
@@ -526,8 +585,8 @@ class StabilizerChain:
             u_inv = level.coset.get(image)
             if u_inv is None:
                 return g, idx
-            g = _compose(g, u_inv)
-        if g == self._identity:
+            g = product(g, u_inv)
+        if g == identity:
             return None, -1
         return g, len(self._levels)
 

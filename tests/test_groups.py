@@ -330,6 +330,22 @@ def test_chain_builds_repeat():
         assert first.strong_generators() == second.strong_generators()
 
 
+@pytest.mark.parametrize("n", range(10, 22))
+def test_the_random_phase_draws_the_index_pairs_of_sample_and_randrange(n):
+    # the product replacement's pairs come from getrandbits directly; the
+    # random stream, and so every chain, must stay what rng.sample and
+    # randrange draw
+    pairs = list(itertools.islice(groups._index_pairs(random.Random(n), n), 500))
+    rng = random.Random(n)
+    assert pairs == [tuple(rng.sample(range(n), 2)) for _ in range(500)]
+    rng = random.Random(n)
+    expected = []
+    for _ in range(500):
+        i, j = rng.randrange(n), rng.randrange(n - 1)
+        expected.append((i, n - 1 if j == i else j))
+    assert pairs == expected
+
+
 @pytest.mark.parametrize(
     "family, size", [(Family.FARO, 20), (Family.HORSESHOE, 14), (Family.FLIP, 10)]
 )
@@ -652,19 +668,22 @@ def test_oracles_match_a_plain_search(images):
 
 
 @st.composite
-def imprimitive_or_intransitive(draw):
-    """Images of 1-3 random elements of S_b wr S_k or of S_m1 x S_m2, on <= 12 points."""
+def imprimitive_or_intransitive(draw, least=2, most=12):
+    """Images of 1-3 random elements of S_b wr S_k or of S_m1 x S_m2.
+
+    They act on at least ``least`` (and at least 2) and at most ``most`` points.
+    """
     if draw(st.booleans()):
-        b = draw(st.integers(2, 6))
-        k = draw(st.integers(2, 12 // b))
+        b = draw(st.integers(2, most // 2))
+        k = draw(st.integers(max(2, -(-least // b)), most // b))
 
         def element():
             inner = [draw(st.permutations(range(b))) for _ in range(k)]
             return _wreath_element(b, draw(st.permutations(range(k))), inner)
 
     else:
-        m1 = draw(st.integers(1, 11))
-        m2 = draw(st.integers(1, 12 - m1))
+        m1 = draw(st.integers(1, most - 1))
+        m2 = draw(st.integers(max(1, least - m1), most - m1))
 
         def element():
             factors = (draw(st.permutations(range(m))) for m in (m1, m2))
@@ -696,6 +715,86 @@ def test_the_chain_and_the_oracles_agree_on_imprimitive_and_intransitive_groups(
     if order > 1:
         with pytest.raises(CapExceededError, match=f"^orbit exceeded {order - 1} "):
             brute_force_order(gens, order - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    imprimitive_or_intransitive(),
+    st.booleans(),
+    st.sampled_from([1, 3, groups._SCAN_BATCH]),
+    st.data(),
+)
+def test_the_batch_sift_gives_the_first_residue_of_the_sift_one_at_a_time(
+    images, complete, size, data
+):
+    # batches cut as the scan cuts them, with repeats and identities mixed
+    # in, which the batch sift drops: the answer is still the first residue
+    # in order, at its depth
+    m = len(images[0])
+    chain = schreier_sims([Permutation(g) for g in images]) if complete else _bare_chain(images)
+    start = data.draw(st.integers(0, len(chain._levels)))
+    pool = [tuple(range(m)), *images, *(_compose(g, h) for g in images for h in images)]
+    pool += data.draw(st.lists(st.permutations(range(m)).map(tuple), min_size=2, max_size=4))
+    elements = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    expected = None
+    for g in elements:
+        residue, depth = chain._sift_tuple(g, start)
+        if residue is not None:
+            expected = tuple(residue), depth
+            break
+    found = None
+    for k in range(0, len(elements), size):
+        found = chain._sift_batch([bytes(g) for g in elements[k : k + size]], start)
+        if found is not None:
+            found = tuple(found[0]), found[1]
+            break
+    assert found == expected
+
+
+def test_the_batch_sift_answers_for_the_first_copy_of_a_repeat():
+    # in C_5 both transpositions leave a residue past the one level; keeping
+    # the last copy of x instead of the first would put its residue first
+    chain = schreier_sims([_cycle(5)])
+    x, y, identity = bytes((1, 0, 2, 3, 4)), bytes((0, 2, 1, 3, 4)), bytes(range(5))
+    assert chain._sift_batch([identity, y, x, y, identity], 0) == (y, 1)
+
+
+def test_the_batch_sift_sifts_each_distinct_element_once():
+    # faro(24)'s 1,128 level-0 Schreier generators hold 554 repeats and
+    # identities, and deeper levels make more: verify looks up 2,015 coset
+    # representatives, 9,298 without dropping them, 3,326 without the drop
+    # on entry and 4,839 without the drops after the levels
+    class Counting(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            Counting.lookups += 1
+            return dict.get(self, key, default)
+
+    chain = schreier_sims(family_generators(Family.FARO, 24))
+    assert not chain.certified
+    for level in chain._levels:
+        level.coset = Counting(level.coset)
+    chain.verify()
+    assert Counting.lookups < 2500
+
+
+def test_the_chain_matches_sympy_on_large_imprimitive_and_intransitive_groups():
+    # an external chain implementation on 16-32 points, where many orders
+    # pass BRUTE_FORCE_LIMIT and the invariant bound is loose
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    @settings(max_examples=15, deadline=None)
+    @given(imprimitive_or_intransitive(least=16, most=32))
+    def check(images):
+        chain = schreier_sims([Permutation(g) for g in images])
+        chain.verify()
+        external = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g)) for g in images]
+        )
+        assert chain.order == external.order()
+
+    check()
 
 
 def _wreath_generators(b, k):
