@@ -9,7 +9,9 @@ Orders come from a certified Las Vegas Schreier-Sims stabilizer chain,
 and each order is proven once.  A certified chain's orbit-size product,
 a lower bound, meets an upper bound from invariants the generators
 preserve (``_order_bound``), which proves it.  Where the bound exceeds
-the order, the classical Schreier-Sims scan completes the chain, and
+the order, the classical Schreier-Sims scan completes the chain; the
+seed pass, which sifts the first level's Schreier generators, has
+already proven that level, so the scan proves the levels below it.
 ``group_order`` checks a scanned order within ``BRUTE_FORCE_LIMIT``
 against a brute-force count, ``brute_force_order``: the orbit of point 0
 times its stabilizer, enumerated coset by coset without chain code.  The
@@ -25,7 +27,9 @@ table of ``_padded``, which the chain budget of 256 points allows.  For
 the bytes p of an element's images and a table q, ``p.translate(q)`` is
 p, then q.  The random phase and the seed pass make such products one
 at a time, and the completion scan and both oracles many per ``map``
-call, all on the stored tables.  Only the queries (``sift`` and ``in``)
+call, all on the stored tables.  Each level also keeps its orbit as
+bytes and a 256-byte membership mask, so two ``translate`` calls tell
+whether a new generator adds orbit points.  Only the queries (``sift`` and ``in``)
 and ``_block_involution`` still multiply image tuples, with
 ``deck._compose(p, q)``, one ``itemgetter`` call, which reads a stored
 table as it reads a tuple.
@@ -316,39 +320,60 @@ def _random_elements(
 
 
 class _Level:
-    __slots__ = ("beta", "gens", "inv_gens", "coset")
+    """One level of a stabilizer chain: its base point, generators and orbit.
+
+    The orbit is kept three ways: ``coset`` maps each orbit point b to
+    u_b^-1, where the coset representative u_b sends beta to b;
+    ``points`` holds the same points as bytes, in the order ``coset``
+    has them; and ``inside`` is a 256-byte table that is 1 at each orbit
+    point and 0 elsewhere.  Generators, their inverses and the u_b^-1
+    are translate tables (``_padded``).
+    """
+
+    __slots__ = ("beta", "gens", "inv_gens", "coset", "points", "inside")
 
     def __init__(self, beta: int):
         self.beta = beta
-        # generators, their inverses, and u_b^-1 for every orbit point b,
-        # where the coset representative u_b sends beta to b: all translate
-        # tables (``_padded``)
         self.gens: list[bytes] = []
         self.inv_gens: list[bytes] = []
         self.coset = {beta: _IDENTITY_TABLE}
+        self.points = bytearray((beta,))
+        self.inside = bytearray(256)
+        self.inside[beta] = 1
 
     def attach(self, g: bytes, g_inv: bytes) -> None:
         """Add g to the generators and close the orbit under them.
 
         The old orbit is closed under the old generators, so only g is
         applied to the old points, and every generator to the new ones.
-        A generator h that reaches b from a gives u_b^-1 = h^-1 u_a^-1.
+        Two translate calls read which old points g sends out of the
+        orbit, so a g that adds no point costs no lookup.  A generator h
+        that reaches b from a gives u_b^-1 = h^-1 u_a^-1.
         """
         self.gens.append(g)
         self.inv_gens.append(g_inv)
-        coset = self.coset
+        outside = self.points.translate(g).translate(self.inside)
+        k = outside.find(0)
+        if k < 0:
+            return
+        coset, points, inside = self.coset, self.points, self.inside
         queue = deque()
-        for a in list(coset):
+        while k >= 0:
+            a = points[k]
             b = g[a]
-            if b not in coset:
-                coset[b] = g_inv.translate(coset[a])
-                queue.append(b)
+            coset[b] = g_inv.translate(coset[a])
+            points.append(b)
+            inside[b] = 1
+            queue.append(b)
+            k = outside.find(0, k + 1)
         while queue:
             a = queue.popleft()
             for h, h_inv in zip(self.gens, self.inv_gens):
                 b = h[a]
-                if b not in coset:
+                if not inside[b]:
                     coset[b] = h_inv.translate(coset[a])
+                    points.append(b)
+                    inside[b] = 1
                     queue.append(b)
 
 
@@ -382,7 +407,8 @@ class StabilizerChain:
 
     Built as a certified Las Vegas chain (Seress, *Permutation Group
     Algorithms*, 2003, sec. 4.3).  The sifted generators seed the chain,
-    with the Schreier generators of its first level; then random group
+    with the Schreier generators of its first level, each distinct one
+    sifted once; then random group
     elements, from a privately seeded generator so that every build
     repeats, are sifted and each residue is registered.  The orbit
     sizes' product is a lower bound on the group order, as each level's
@@ -404,8 +430,13 @@ class StabilizerChain:
     of points and then generators, is registered at the level where it
     stopped, and the scan resumes there: the levels below that one did
     not change, and each is complete for the group its own generators
-    generate.  The chain is complete when level 0 passes.  ``verify``
-    runs the same scan and raises on any residue.  The scan reads the
+    generate.  The chain is complete when level 0 passes.  The seed
+    pass has proven level 0 of a constructed chain (Schreier's lemma;
+    Seress 2003, sec. 4.1-4.2), so there the scan stops at level 1, and
+    only a bare chain, whose generators were registered without the
+    seed, has its level 0 scanned.  ``verify`` runs the same scan and
+    raises on any residue: for a constructed chain it rechecks levels 1
+    and below.  The scan reads the
     levels' translate tables as they are stored, with nothing converted:
     up to ``_SCAN_BATCH`` Schreier generators at a time go through the
     deeper levels one level per ``map`` call (``_sift_batch``), with the
@@ -421,7 +452,8 @@ class StabilizerChain:
     orbits grow monotonically and coset representatives are never
     relabeled.  Each level keeps its generators, their inverses and only
     the inverse representatives, the factors that sifting strips, as
-    translate tables (``_padded``).  Every registered generator joins
+    translate tables (``_padded``), and its orbit as bytes with a
+    membership mask (``_Level``).  Every registered generator joins
     level 0, so level 0's generator list is the strong generating set,
     in registration order.  The group order is the product of orbit
     sizes, and an element belongs to the group iff it sifts to the
@@ -439,7 +471,9 @@ class StabilizerChain:
         self._levels: list[_Level] = []
         for g in gens:
             self._extend(g.images, 0)
-        if self._levels:
+        # Whether the seed pass ran, which proves level 0 (see ``_scan``).
+        self._seeded = bool(self._levels)
+        if self._seeded:
             # The seed's level-0 Schreier generators are short words in the
             # generators.  Registered before any random residue, they keep
             # the deeper coset representatives short words too, and a
@@ -449,8 +483,9 @@ class StabilizerChain:
             # seed left are used: both are taken before the first sift.
             level = self._levels[0]
             coset, tables = dict(level.coset), list(level.gens)
-            for schreier in _schreier_generators(coset, tables, self.degree):
-                self._extend(schreier, 1)
+            schreier = _schreier_generators(coset, tables, self.degree)
+            for s in _distinct(schreier, self._identity_bytes):
+                self._extend(s, 1)
         images = [g.images for g in gens]
         self._certified = self._random_phase(images, _order_bound(images, self.degree))
         if not self._certified:
@@ -499,11 +534,19 @@ class StabilizerChain:
         """Sift every Schreier generator, the deepest level first.
 
         At the first residue, register it and resume at its level if
-        ``complete``, else raise.
+        ``complete``, else raise.  After the seed pass the scan stops at
+        level 1: the seed's level-0 generators generate the group, its
+        level-0 orbit is the whole orbit of the first base point, and
+        each of their Schreier generators sifts to the identity through
+        levels 1 and below once the seed has registered its residue, as
+        representatives are never relabelled.  By Schreier's lemma those
+        levels then generate the stabilizer of the first base point, so
+        no level-0 Schreier generator can leave a residue.
         """
         levels = self._levels
+        last = 1 if self._seeded else 0
         i = len(levels) - 1
-        while i >= 0:
+        while i >= last:
             level = levels[i]
             schreier = _schreier_generators(level.coset, level.gens, self.degree)
             # the scan stops at the first residue, before it is registered
@@ -629,7 +672,11 @@ class StabilizerChain:
         )
 
     def verify(self) -> None:
-        """Recheck that every Schreier generator sifts to the identity."""
+        """Recheck that every Schreier generator sifts to the identity.
+
+        In a constructed chain, the seed pass proved level 0, so this
+        rechecks levels 1 and below; in a bare chain, every level.
+        """
         self._scan(complete=False)
 
 
