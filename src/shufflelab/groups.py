@@ -29,8 +29,8 @@ p, then q.  The random phase and the seed pass make such products one
 at a time, and the completion scan and both oracles many per ``map``
 call, all on the stored tables.  Each level also keeps its orbit as
 bytes and a 256-byte membership mask, so two ``translate`` calls tell
-whether a new generator adds orbit points.  Only the queries (``sift`` and ``in``)
-and ``_block_involution`` still multiply image tuples, with
+whether a new generator adds orbit points.  Only the queries (``sift``
+and ``in``) and ``_block_involution`` still multiply image tuples, with
 ``deck._compose(p, q)``, one ``itemgetter`` call, which reads a stored
 table as it reads a tuple.
 """
@@ -352,8 +352,8 @@ class _Level:
         """
         self.gens.append(g)
         self.inv_gens.append(g_inv)
-        outside = self.points.translate(g).translate(self.inside)
-        k = outside.find(0)
+        landed = self.points.translate(g).translate(self.inside)
+        k = landed.find(0)
         if k < 0:
             return
         coset, points, inside = self.coset, self.points, self.inside
@@ -365,7 +365,7 @@ class _Level:
             points.append(b)
             inside[b] = 1
             queue.append(b)
-            k = outside.find(0, k + 1)
+            k = landed.find(0, k + 1)
         while queue:
             a = queue.popleft()
             for h, h_inv in zip(self.gens, self.inv_gens):
@@ -408,43 +408,43 @@ class StabilizerChain:
     Built as a certified Las Vegas chain (Seress, *Permutation Group
     Algorithms*, 2003, sec. 4.3).  The sifted generators seed the chain,
     with the Schreier generators of its first level, each distinct one
-    sifted once; then random group
-    elements, from a privately seeded generator so that every build
-    repeats, are sifted and each residue is registered.  The orbit
-    sizes' product is a lower bound on the group order, as each level's
-    orbit lies in an orbit of the stabilizer of the earlier base points.
-    ``_order_bound`` gives an upper bound from invariants the generators
-    are checked to preserve.  When the two meet, the order is proven
-    and the chain complete; the random phase stops there.  If the bound
-    is never met (it can exceed the order), the random phase stops after
-    ``_IDLE_SIFTS`` consecutive identity sifts and the classical
-    Schreier-Sims scan completes the chain (Holt, Eick & O'Brien,
-    *Handbook of CGT*, 2005, ch. 4), so the order is exact either way.
-    ``certified`` tells which path closed the chain.  The seed pass and
-    the random phase sift the bytes of each element's images through the
-    stored tables, one ``bytes.translate`` per level, and the random
-    elements are products of translate tables (``_random_elements``).
+    sifted once; then random group elements, from a privately seeded
+    generator so that every build repeats, are sifted and each residue
+    is registered.  The orbit sizes' product is a lower bound on the
+    group order, as each level's orbit lies in an orbit of the
+    stabilizer of the earlier base points.  ``_order_bound`` gives an
+    upper bound from invariants the generators are checked to preserve.
+    When the two meet, the order is proven and the chain complete; the
+    random phase stops there.  If the bound is never met (it can exceed
+    the order), the random phase stops after ``_IDLE_SIFTS`` consecutive
+    identity sifts and the classical Schreier-Sims scan completes the
+    chain (Holt, Eick & O'Brien, *Handbook of CGT*, 2005, ch. 4), so the
+    order is exact either way.  ``certified`` tells which path closed the
+    chain.  The seed pass and the random phase sift the bytes of each
+    element's images through the stored tables, one ``bytes.translate``
+    per level, and the random elements are products of translate tables
+    (``_random_elements``).
 
     The scan sifts the Schreier generators of each level, deepest level
     first, through the levels below it.  The first residue, in the order
     of points and then generators, is registered at the level where it
     stopped, and the scan resumes there: the levels below that one did
     not change, and each is complete for the group its own generators
-    generate.  The chain is complete when level 0 passes.  The seed
-    pass has proven level 0 of a constructed chain (Schreier's lemma;
-    Seress 2003, sec. 4.1-4.2), so there the scan stops at level 1, and
-    only a bare chain, whose generators were registered without the
-    seed, has its level 0 scanned.  ``verify`` runs the same scan and
-    raises on any residue: for a constructed chain it rechecks levels 1
-    and below.  The scan reads the
-    levels' translate tables as they are stored, with nothing converted:
-    up to ``_SCAN_BATCH`` Schreier generators at a time go through the
-    deeper levels one level per ``map`` call (``_sift_batch``), with the
-    same residue and depth as ``_sift_tuple`` one at a time, and the
-    residue, the bytes of its images, is registered as it is.  A batch
-    sifts each distinct element once: a repeat, or the identity, cannot
-    change the first residue, so the batch drops them on entry and again
-    wherever it outnumbers the chain left below a level.
+    generate.  The chain is complete when the scan passes its top level:
+    level 1 of a constructed chain, whose level 0 the seed pass has
+    proven (Schreier's lemma; Seress 2003, sec. 4.1-4.2), and level 0 of
+    a bare chain, whose generators were registered without the seed
+    pass.  ``verify`` runs the same scan and raises on any residue: for a
+    constructed chain it rechecks levels 1 and below.  The scan reads
+    the levels' translate tables as they are stored, with nothing
+    converted: up to ``_SCAN_BATCH`` Schreier generators at a time go
+    through the deeper levels one level per ``map`` call
+    (``_sift_batch``), with the same residue and depth as ``_sift_tuple``
+    one at a time, and the residue, the bytes of its images, is
+    registered as it is.  A batch sifts each distinct element once: a
+    repeat, or the identity, cannot change the first residue, so the
+    batch drops them on entry and again wherever it outnumbers the chain
+    left below a level.
 
     Base points are the smallest point each new level's generator
     moves.  A generator introduced at level j fixes the first j base

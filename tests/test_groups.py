@@ -779,6 +779,135 @@ def test_the_batch_sift_sifts_each_distinct_element_once():
     assert Counting.lookups < 2500
 
 
+#: Images of 1-3 random permutations of 2-12 points; nearly always S_m or A_m.
+random_sets = st.integers(2, 12).flatmap(
+    lambda m: st.lists(st.permutations(range(m)).map(tuple), min_size=1, max_size=3)
+)
+
+
+def _level_0_residue(chain):
+    """The first residue of level 0's Schreier generators, over every strong
+    generator, sifted from level 1; None if each sifts to the identity."""
+    level = chain._levels[0]
+    schreier = groups._schreier_generators(level.coset, level.gens, chain.degree)
+    return chain._sift_batch(list(schreier), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(imprimitive_or_intransitive(), random_sets))
+def test_the_seed_pass_proves_level_0_of_random_groups(images):
+    # the scan of a constructed chain stops at level 1; this is sound only if
+    # levels 1 and below already generate the stabilizer of the first base point
+    chain = schreier_sims([Permutation(g) for g in images])
+    if chain._levels:
+        assert _level_0_residue(chain) is None
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_the_seed_pass_proves_level_0_of_every_shuffle_chain(family):
+    for size in range(2, 31, 2):
+        chain = schreier_sims(family_generators(family, size))
+        assert _level_0_residue(chain) is None, (family, size)
+
+
+def test_only_a_bare_chain_scans_level_0(monkeypatch):
+    # the level-0 scan is the one that passes level 0's own coset table
+    cosets = []
+    schreier_generators = groups._schreier_generators
+
+    def recorded(coset, gens, degree):
+        cosets.append(coset)
+        return schreier_generators(coset, gens, degree)
+
+    monkeypatch.setattr(groups, "_schreier_generators", recorded)
+    # the scanned chains: SCAN_GROUPS' first set, S_2 wr S_4, meets its bound
+    seeded = [family_generators(Family.FARO, 24), family_generators(Family.FLIP, 12)]
+    seeded += [[Permutation(g) for g in images] for images in SCAN_GROUPS[1:]]
+    seeded += [_wreath_generators(4, 16), _power_generators(8, 8)]
+    for gens in seeded:
+        cosets.clear()
+        chain = schreier_sims(gens)
+        chain.verify()
+        assert not chain.certified
+        # the scan ran, from the deepest level, both times
+        assert sum(c is chain._levels[-1].coset for c in cosets) >= 2
+        assert not any(c is chain._levels[0].coset for c in cosets)
+    for images in BARE_SCAN_CASES + SCAN_GROUPS:
+        chain = _bare_chain(images)
+        cosets.clear()
+        chain._scan(complete=True)
+        assert any(c is chain._levels[0].coset for c in cosets)
+
+
+def _check_orbit_masks(chain):
+    for level in chain._levels:
+        assert level.points == bytes(level.coset)
+        assert level.inside == bytes(p in level.coset for p in range(256))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(imprimitive_or_intransitive(), random_sets),
+    st.sampled_from(BARE_SCAN_CASES + SCAN_GROUPS),
+)
+def test_each_level_keeps_its_orbit_as_bytes_and_a_mask(images, bare):
+    _check_orbit_masks(schreier_sims([Permutation(g) for g in images]))
+    chain = _bare_chain(bare)
+    chain._scan(complete=True)
+    _check_orbit_masks(chain)
+
+
+def test_an_attach_that_adds_no_point_looks_nothing_up():
+    class Counting(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            Counting.lookups += 1
+            return dict.get(self, key, default)
+
+        def __getitem__(self, key):
+            Counting.lookups += 1
+            return dict.__getitem__(self, key)
+
+        def __contains__(self, key):
+            Counting.lookups += 1
+            return dict.__contains__(self, key)
+
+    def tables(images):
+        g = groups._padded(images)
+        return g, bytes.maketrans(g, groups._IDENTITY_TABLE)
+
+    # on 12 points: a 3-cycle, a 4-cycle, and their product, which lies in
+    # the group the two generate and so adds no point to the orbit of 0
+    three, four = (1, 2, 0, *range(3, 12)), (0, 1, 3, 4, 5, 2, *range(6, 12))
+    level = groups._Level(0)
+    level.coset = Counting(level.coset)
+    level.attach(*tables(three))
+    level.attach(*tables(four))
+    assert Counting.lookups > 0 and sorted(level.coset) == list(range(6))
+    Counting.lookups = 0
+    level.attach(*tables(_compose(three, four)))
+    assert Counting.lookups == 0
+    assert len(level.gens) == 3 and sorted(level.coset) == list(range(6))
+
+
+def test_the_seed_pass_sifts_each_distinct_schreier_generator_once(monkeypatch):
+    # the seed pass is the only caller that sifts from level 1
+    seeded = []
+    extend = StabilizerChain._extend
+
+    def recorded(chain, g, start):
+        if start == 1:
+            seeded.append(bytes(g))
+        return extend(chain, g, start)
+
+    monkeypatch.setattr(StabilizerChain, "_extend", recorded)
+    schreier_sims(family_generators(Family.FARO, 24))
+    assert seeded
+    assert bytes(range(24)) not in seeded
+    assert len(set(seeded)) == len(seeded)
+
+
 def test_the_chain_matches_sympy_on_large_imprimitive_and_intransitive_groups():
     # an external chain implementation on 16-32 points, where many orders
     # pass BRUTE_FORCE_LIMIT and the invariant bound is loose
