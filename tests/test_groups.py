@@ -821,6 +821,25 @@ def test_the_seed_pass_proves_level_0_of_every_shuffle_chain(family):
         _check_level_0_proven(family_generators(family, size))
 
 
+def test_the_batch_sift_drops_the_repeats_of_level_0():
+    # a constructed chain's verify no longer scans level 0, where most of
+    # faro(24)'s repeats are; sifted in one batch, its 1,128 Schreier
+    # generators cost 611 lookups, 1,355 without the drop on entry and
+    # 1,260 without the drops after the levels
+    class Counting(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            Counting.lookups += 1
+            return dict.get(self, key, default)
+
+    chain = schreier_sims(family_generators(Family.FARO, 24))
+    for level in chain._levels:
+        level.coset = Counting(level.coset)
+    assert _level_0_residue(chain) is None
+    assert Counting.lookups < 800
+
+
 def test_only_a_bare_chain_scans_level_0(monkeypatch):
     # the level-0 scan is the one that passes level 0's own coset table
     cosets = []
