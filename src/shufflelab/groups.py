@@ -8,16 +8,24 @@ face-up bookkeeping stays inside the permutation.
 Orders come from a certified Las Vegas Schreier-Sims stabilizer chain,
 and each order is proven once.  A certified chain's orbit-size product,
 a lower bound, meets an upper bound from invariants the generators
-preserve (``_order_bound``), which proves it.  Where the bound exceeds
-the order, the classical Schreier-Sims scan completes the chain; the
-seed pass, which sifts the first level's Schreier generators, has
-already proven that level, so the scan proves the levels below it.
+preserve (``_invariant_bounds``), which proves it.  The first bound is
+the order of the centralizer of a fixed-point-free involution c, or of
+S_m, divided by the signs the group keeps.  Once the random phase
+stalls, a group that commutes with c is also held to its pair-quotient
+bound: it acts on the n pairs {x, c(x)} as a quotient Q, which the
+brute-force count enumerates, and the kernel of that action swaps the
+two points of some pairs, so the order is at most |Q| 2^n, or |Q|
+2^(n-1) when the kernel is even (Diaconis, Graham & Kantor, "The
+mathematics of perfect shuffles", 1983).  Where no bound meets the
+order, the classical Schreier-Sims scan completes the chain; the seed
+pass, which sifts the first level's Schreier generators, has already
+proven that level, so the scan proves the levels below it.
 ``group_order`` checks a scanned order within ``BRUTE_FORCE_LIMIT``
-against a brute-force count, ``brute_force_order``: the orbit of point 0
-times its stabilizer, enumerated coset by coset without chain code.  The
-test suite checks both kinds against that count, and against an
-enumeration of the whole group, over every family at every even size up
-to 40 and the powers of two within the chain budget,
+against a brute-force count, ``brute_force_order``: the orbits of points
+0 and 1 times the stabilizer of both, enumerated coset by coset without
+chain code.  The test suite checks both kinds against that count, and
+against an enumeration of the whole group, over every family at every
+even size up to 40 and the powers of two within the chain budget,
 ``MAX_CHAIN_POINTS``.  All arithmetic is exact Python integers; the
 orders here overflow 64 bits already at twenty cards.  The closed forms
 of the order theorems are tabulated for verification runs.
@@ -149,17 +157,17 @@ def _padded(images: Sequence[int]) -> bytes:
 
 
 def _transversal(
-    gens: Sequence[Sequence[int]], identity: Sequence[int], product
+    gens: Sequence[Sequence[int]], identity: Sequence[int], product, start: int = 0
 ) -> dict[int, Sequence[int]]:
-    """An element u_a that sends 0 to a, for every point a of the orbit of 0.
+    """An element u_a that sends ``start`` to a, for every point a of its orbit.
 
-    A breadth-first walk from u_0 = ``identity``: a generator h that
+    A breadth-first walk from u_start = ``identity``: a generator h that
     reaches b from a gives u_b = ``product(u_a, h)``, u_a then h.  Tuples
     with ``deck._compose`` and translate tables with ``bytes.translate``
     both serve.
     """
-    transversal = {0: identity}
-    queue = [0]
+    transversal = {start: identity}
+    queue = [start]
     for a in queue:
         for h in gens:
             b = h[a]
@@ -241,40 +249,90 @@ def _block_involution(
     return None
 
 
-def _order_bound(gens: Sequence[tuple[int, ...]], degree: int) -> int:
-    """An upper bound on the order of the group the generators generate.
+class _PairQuotient(NamedTuple):
+    """A group's action on the n pairs {x, c(x)} of a centralizing involution c.
+
+    ``tables`` are the generators' images on the pairs as translate tables
+    (``_padded``); they generate the quotient Q, the group's image in S_n.
+    The kernel of the action swaps the two points of some pairs, so it
+    lies in F_2^n, and ``kernel`` bounds its order: 2^n, or 2^(n-1) when a
+    sign character that involves the point sign is trivial on every
+    generator.  The block sign is trivial on the kernel, so its elements
+    are then even: they swap an even number of pairs.
+    """
+
+    n: int
+    tables: list[bytes]
+    kernel: int
+
+
+def _invariant_bounds(
+    gens: Sequence[tuple[int, ...]], degree: int
+) -> tuple[int, Optional[_PairQuotient]]:
+    """An upper bound on the order of the group the generators generate,
+    and the group's pair quotient where a centralizing involution exists.
 
     If a fixed-point-free involution c commutes with every generator,
     the group lies in its centralizer, S_2 wr S_n on n = degree/2 blocks
     {x, c(x)}, of order 2^n n!.  For n >= 2 that group has two
     independent signs, on points and on blocks; the group lies in the
     kernel of each of the four characters they generate that is trivial
-    on every generator, so the bound is divided by their number.
-    Otherwise the bound is degree!, halved when every generator is even.
+    on every generator, so the bound is divided by their number.  The
+    generators' images on the blocks, which the block sign reads, are
+    kept as the quotient's generators (``_PairQuotient``).  Otherwise the
+    bound is degree!, halved when every generator is even.
     """
     c = _block_involution(gens, degree)
     if c is None:
         bound = math.factorial(degree)
         if degree >= 2 and not any(map(_is_odd, gens)):
             bound //= 2
-        return bound
+        return bound, None
     n = degree // 2
     bound = 2**n * math.factorial(n)
     if n < 2:
-        return bound
+        return bound, None
     reps = [x for x in range(degree) if x < c[x]]
     block_of = [0] * degree
     for k, x in enumerate(reps):
         block_of[x] = block_of[c[x]] = k
-    signs = [(_is_odd(h), _is_odd([block_of[h[x]] for x in reps])) for h in gens]
-    # the characters 1, point sign, block sign and their product that are
-    # trivial on every generator: (a, b) picks the signs multiplied together
-    trivial = sum(
-        all((a and p) == (b and q) for p, q in signs)
+    blocks = [[block_of[h[x]] for x in reps] for h in gens]
+    signs = [(_is_odd(h), _is_odd(b)) for h, b in zip(gens, blocks)]
+    # whether each of the characters 1, point sign, block sign and their
+    # product that is trivial on every generator involves the point sign:
+    # (a, b) picks the signs multiplied together
+    trivial = [
+        a
         for a in (False, True)
         for b in (False, True)
-    )
-    return bound // trivial
+        if all((a and p) == (b and q) for p, q in signs)
+    ]
+    quotient = _PairQuotient(n, list(map(_padded, blocks)), 2 ** (n - any(trivial)))
+    return bound // len(trivial), quotient
+
+
+def _order_bound(gens: Sequence[tuple[int, ...]], degree: int) -> int:
+    """The upper bound of ``_invariant_bounds`` alone."""
+    return _invariant_bounds(gens, degree)[0]
+
+
+def _quotient_bound(quotient: _PairQuotient, order: int) -> Optional[int]:
+    """|Q| times the kernel factor, an upper bound on the group order, or None.
+
+    |Q| is the brute-force oracle's count on the n pairs, which runs no
+    chain code.  The bound can meet ``order``, a lower bound on the
+    group order, only if the kernel factor divides it and |Q| <= order //
+    kernel, so None comes at once where it does not divide, and where
+    the count passes that limit or ``BRUTE_FORCE_LIMIT``.
+    """
+    if order % quotient.kernel:
+        return None
+    limit = min(order // quotient.kernel, BRUTE_FORCE_LIMIT)
+    try:
+        size = _orbit_stabilizer_count(quotient.tables, quotient.n, limit)
+    except CapExceededError:
+        return None
+    return size * quotient.kernel
 
 
 def _index_pairs(rng: random.Random, n: int) -> Iterator[tuple[int, int]]:
@@ -412,12 +470,15 @@ class StabilizerChain:
     generator so that every build repeats, are sifted and each residue
     is registered.  The orbit sizes' product is a lower bound on the
     group order, as each level's orbit lies in an orbit of the
-    stabilizer of the earlier base points.  ``_order_bound`` gives an
-    upper bound from invariants the generators are checked to preserve.
-    When the two meet, the order is proven and the chain complete; the
-    random phase stops there.  If the bound is never met (it can exceed
-    the order), the random phase stops after ``_IDLE_SIFTS`` consecutive
-    identity sifts and the classical Schreier-Sims scan completes the
+    stabilizer of the earlier base points.  ``_invariant_bounds`` gives
+    an upper bound from invariants the generators are checked to
+    preserve.  When the two meet, the order is proven and the chain
+    complete; the random phase stops there.  If the bound is never met
+    (it can exceed the order), the random phase stops after
+    ``_IDLE_SIFTS`` consecutive identity sifts.  Then, for a group that
+    commutes with a fixed-point-free involution, the pair-quotient bound
+    (``_quotient_bound``) is counted, and where it meets the order it
+    proves it.  Otherwise the classical Schreier-Sims scan completes the
     chain (Holt, Eick & O'Brien, *Handbook of CGT*, 2005, ch. 4), so the
     order is exact either way.  ``certified`` tells which path closed the
     chain.  The seed pass and the random phase sift the bytes of each
@@ -487,14 +548,25 @@ class StabilizerChain:
             for s in _distinct(schreier, self._identity_bytes):
                 self._extend(s, 1)
         images = [g.images for g in gens]
-        self._certified = self._random_phase(images, _order_bound(images, self.degree))
+        bound, quotient = _invariant_bounds(images, self.degree)
+        self._certified = self._random_phase(images, bound, quotient)
         if not self._certified:
             self._scan(complete=True)
 
     # construction
 
-    def _random_phase(self, gens: list[tuple[int, ...]], bound: int) -> bool:
-        """Sift random elements until the order meets ``bound``: True if it did."""
+    def _random_phase(
+        self,
+        gens: list[tuple[int, ...]],
+        bound: int,
+        quotient: Optional[_PairQuotient],
+    ) -> bool:
+        """Sift random elements until the order meets ``bound``: True if it did.
+
+        If the phase stalls, True if the order meets the pair quotient's
+        bound (``_quotient_bound``), which counts a group and so is
+        computed only then.
+        """
         if self.order == bound:
             return True
         if not self._levels:
@@ -504,7 +576,10 @@ class StabilizerChain:
             if not self._extend(x, 0):
                 idle += 1
                 if idle == _IDLE_SIFTS:
-                    return False
+                    if quotient is None:
+                        return False
+                    order = self.order
+                    return _quotient_bound(quotient, order) == order
                 continue
             idle = 0
             if self.order == bound:
@@ -637,7 +712,11 @@ class StabilizerChain:
 
     @property
     def certified(self) -> bool:
-        """True if the random phase met the invariant bound, False if scanned."""
+        """True if the order met an invariant bound, False if the chain was scanned.
+
+        The bound is the order bound or, once the random phase stalled,
+        the pair-quotient bound (``_quotient_bound``).
+        """
         return self._certified
 
     @property
@@ -771,49 +850,83 @@ def _add_cosets(
                 representatives.append(x)
 
 
+def _schreier_elements(
+    transversal: dict[int, bytes], tables: Sequence[bytes], identity: bytes
+) -> Iterator[bytes]:
+    """u_a g u_{g(a)}^-1 for each orbit point a, then each table g.
+
+    ``transversal`` maps each orbit point b to u_b, the bytes of its
+    images, and u_b^-1 is a ``bytes.maketrans`` table.  By Schreier's
+    lemma the results generate the stabilizer of the orbit's start point
+    (Seress, *Permutation Group Algorithms*, 2003, sec. 4.1).  The chain
+    forms the same products from its inverse tables
+    (``_schreier_generators``); the oracle keeps its own, so that its
+    count shares no code with the chain it checks.
+    """
+    inverses = {b: bytes.maketrans(u, identity) for b, u in transversal.items()}
+    for a, u in transversal.items():
+        for table in tables:
+            yield u.translate(table).translate(inverses[table[a]])
+
+
+def _orbit_stabilizer_count(tables: Sequence[bytes], m: int, limit: int) -> int:
+    """The order of the group the translate tables generate on m points.
+
+    |G| = |O_0| |O_1| |G_01|: the orbit O_0 of point 0, the orbit O_1 of
+    point 1 under the stabilizer G_0 of 0, and the stabilizer G_01 of
+    both.  G_0 is generated by the distinct non-identity Schreier
+    generators of O_0, and G_01 by the Schreier generators of O_1 under
+    those.  The latter are streamed: each that the states of G_01 do not
+    hold yet becomes a generator, at least doubling the subgroup, which
+    grows to the group of all of them by right cosets (``_add_cosets``).
+    On fewer than two points the padded tables fix 0 and 1, so the
+    orbits count 1.
+
+    An order above ``limit`` raises, where a limit below 1 counts as 1,
+    and G_01 never holds more than max(limit, 1) // (|O_0| |O_1|) states.
+    """
+    identity = bytes(range(m))
+    most = max(limit, 1)
+    orbit_0 = _transversal(tables, identity, bytes.translate)
+    if len(orbit_0) > most:
+        raise _exceeded(limit, "states")
+    schreier_0 = _distinct(_schreier_elements(orbit_0, tables, identity), identity)
+    tables_0 = list(map(_padded, schreier_0))
+    orbit_1 = _transversal(tables_0, identity, bytes.translate, 1)
+    orbits = len(orbit_0) * len(orbit_1)
+    if orbits > most:
+        raise _exceeded(limit, "states")
+    seen = {identity: None}
+    tables_01: list[bytes] = []
+    for schreier in _schreier_elements(orbit_1, tables_0, identity):
+        if schreier not in seen:
+            tables_01.append(_padded(schreier))
+            _add_cosets(seen, tables_01, most // orbits, limit)
+    return orbits * len(seen)
+
+
 def brute_force_order(
     generators: Iterable[Permutation], limit: int = BRUTE_FORCE_LIMIT
 ) -> int:
-    """Group order as the orbit of point 0 times its enumerated stabilizer.
+    """Group order as the orbits of points 0 and 1 times their stabilizer.
 
-    An element is the bytes of its images.  The orbit walk keeps, for
-    each orbit point a, an element u_a that sends 0 to a.  By Schreier's
-    lemma the stabilizer of 0 is generated by the elements u_a g
-    u_{g(a)}^-1, over orbit points a and generators g (Seress,
-    *Permutation Group Algorithms*, 2003, sec. 4.1).  Each one that the
-    stabilizer's states do not hold yet becomes a generator, at least
-    doubling the subgroup, and the subgroup grows to the group of all of
-    them by right cosets, each translated in one ``map`` call
-    (``_add_cosets``).  Products are ``bytes.translate`` calls and
-    inverses ``bytes.maketrans`` tables: no chain code runs, so the count
-    is independent of the chain's.
+    An element is the bytes of its images.  The orbit walks keep, for
+    each orbit point, an element that sends the start point to it, and
+    Schreier's lemma gives the stabilizers' generators; the stabilizer
+    of both points is enumerated by right cosets, each translated in one
+    ``map`` call (``_orbit_stabilizer_count``).  Products are
+    ``bytes.translate`` calls and inverses ``bytes.maketrans`` tables: no
+    chain code runs, so the count is independent of the chain's.
 
     An order above ``limit`` raises instead of returning a partial
     count, where a limit below 1 counts as 1; the stabilizer's states
-    never number more than max(limit, 1) // |orbit|.  A limit that is no
-    int is refused, and so are generators on more than
-    ``MAX_CHAIN_POINTS`` points, before any state is built.
+    never number more than max(limit, 1) // (|orbit of 0| |orbit of 1|).
+    A limit that is no int is refused, and so are generators on more
+    than ``MAX_CHAIN_POINTS`` points, before any state is built.
     """
     _check_int(limit, "limit")
     generators, m = _common_degree(generators)
-    tables = _tables(generators)
-    identity = bytes(range(m))
-    # on no points the padded tables still send 0 to 0: degree 0 counts 1
-    transversal = _transversal(tables, identity, bytes.translate)
-    most = max(limit, 1)
-    if len(transversal) > most:
-        raise _exceeded(limit, "states")
-    most_seen = most // len(transversal)
-    inverses = {b: bytes.maketrans(u, identity) for b, u in transversal.items()}
-    seen = {identity: None}
-    schreier_tables: list[bytes] = []
-    for a, u in transversal.items():
-        for table in tables:
-            schreier = u.translate(table).translate(inverses[table[a]])
-            if schreier not in seen:
-                schreier_tables.append(_padded(schreier))
-                _add_cosets(seen, schreier_tables, most_seen, limit)
-    return len(transversal) * len(seen)
+    return _orbit_stabilizer_count(_tables(generators), m, limit)
 
 
 def tuple_transitivity_order(

@@ -76,8 +76,8 @@ def test_chain_internal_consistency():
             assert gen in chain
 
 
-#: Per family, a deck size whose chain is drained and one whose chain is
-#: certified by the random phase.
+#: Per family, a deck size at which the order bound exceeds the order and one
+#: at which the random phase meets it.
 MEMBERSHIP_CASES = [
     (Family.FARO, 12), (Family.FARO, 20),
     (Family.FLIP, 6), (Family.FLIP, 10),
@@ -254,6 +254,13 @@ EXCEPTIONAL = {
     Family.HORSESHOE: {6, 8, 12, 16, 32, 64},
     Family.FLIP: {4, 6, 8, 12, 16, 32},
 }
+#: Per family, the sizes of EXCEPTIONAL whose chains are scanned: at faro 12
+#: and 24, and flip 6 and 12, the pair-quotient bound meets the order.
+SCANNED = {
+    Family.FARO: EXCEPTIONAL[Family.FARO] - {12, 24},
+    Family.HORSESHOE: EXCEPTIONAL[Family.HORSESHOE],
+    Family.FLIP: EXCEPTIONAL[Family.FLIP] - {6, 12},
+}
 #: Largest size per family of the chain and bound tests.
 CHAIN_TOP = {Family.FARO: 30, Family.HORSESHOE: 30, Family.FLIP: 16}
 BOUND_TOP = {Family.FARO: 100, Family.HORSESHOE: 100, Family.FLIP: 50}
@@ -305,6 +312,76 @@ def test_the_invariant_bound_runs_no_chain_code(monkeypatch):
     for (family, size), bound in bounds.items():
         gens = [g.images for g in family_generators(family, size)]
         assert _order_bound(gens, len(gens[0])) == bound, (family, size)
+    # the pair-quotient bound: |Q| counted on the n pairs, times the kernel
+    # factor, 2^6 at faro(12) and 2^11 at faro(24), where Q is M12
+    quotient_bounds = {12: 7680, 24: 194_641_920}
+    for size, bound in quotient_bounds.items():
+        gens = [g.images for g in family_generators(Family.FARO, size)]
+        _, quotient = groups._invariant_bounds(gens, size)
+        assert groups._quotient_bound(quotient, bound) == bound, size
+        # the count stops past order // kernel
+        assert groups._quotient_bound(quotient, bound - quotient.kernel) is None, size
+
+
+@st.composite
+def hyperoctahedral_subgroups(draw):
+    """Images of 1-3 random elements of S_2 wr S_n on 2n points, n from 2 to 7.
+
+    Each commutes with the involution that swaps 2i and 2i + 1.
+    """
+    n = draw(st.integers(2, 7))
+
+    def element():
+        inner = [draw(st.permutations(range(2))) for _ in range(n)]
+        return _wreath_element(2, draw(st.permutations(range(n))), inner)
+
+    return [element() for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyperoctahedral_subgroups())
+def test_the_pair_quotient_bound_holds_on_random_subgroups_of_s2_wr_sn(images):
+    gens = [Permutation(g) for g in images]
+    order = brute_force_order(gens)
+    chain = schreier_sims(gens)
+    assert chain.order == order
+    bound, quotient = groups._invariant_bounds(images, len(images[0]))
+    # the involution search spreads c along the orbits of 0 and c(0) only,
+    # so it finds none where they leave points out
+    if quotient is None:
+        assert not chain.certified or order == bound
+        return
+    # counted up to the order bound, it is |Q| times the kernel factor
+    quotient_bound = groups._quotient_bound(quotient, bound)
+    assert order <= quotient_bound <= bound
+    # the count at exactly quotient_bound // kernel passes, and one less refuses
+    assert groups._quotient_bound(quotient, quotient_bound) == quotient_bound
+    assert groups._quotient_bound(quotient, quotient_bound - quotient.kernel) is None
+    if chain.certified:
+        assert order in (bound, quotient_bound)
+
+
+def test_the_pair_quotient_is_counted_only_when_the_random_phase_stalls(monkeypatch):
+    counted = []
+    quotient_bound = groups._quotient_bound
+
+    def recorded(quotient, order):
+        counted.append(quotient.n)
+        return quotient_bound(quotient, order)
+
+    def fail(*args):
+        raise AssertionError("the chain was scanned")
+
+    monkeypatch.setattr(groups, "_quotient_bound", recorded)
+    # the order bound certifies faro(20) and flip(10); horseshoe(12) has no
+    # centralizing involution, so its chain is scanned
+    for family, size in ((Family.FARO, 20), (Family.FLIP, 10), (Family.HORSESHOE, 12)):
+        schreier_sims(family_generators(family, size))
+    assert counted == []
+    # faro(24) stalls, and its quotient on 12 pairs certifies it before any scan
+    monkeypatch.setattr(StabilizerChain, "_scan", fail)
+    assert schreier_sims(family_generators(Family.FARO, 24)).certified
+    assert counted == [12]
 
 
 @pytest.mark.parametrize("family", list(CHAIN_TOP))
@@ -313,7 +390,7 @@ def test_certified_chain_matches_the_drained_chain(monkeypatch, family):
         gens = family_generators(family, size)
         chain = schreier_sims(gens)
         chain.verify()
-        assert chain.certified == (size not in EXCEPTIONAL[family]), (family, size)
+        assert chain.certified == (size not in SCANNED[family]), (family, size)
         with monkeypatch.context() as patch:
             patch.setattr(groups, "_random_elements", _identity_elements)
             drained = schreier_sims(gens)
@@ -506,7 +583,7 @@ def test_the_batch_scan_registers_what_the_sequential_scan_does(
 CHAIN_SHAPE_CASES = [
     (family, size) for family in CHAIN_TOP for size in range(4, 31, 2)
 ] + [(Family.HORSESHOE, 36), (Family.FARO, 52)]
-CHAIN_SHAPE_DIGEST = "3c1c8006cda354ac35c1b42b3ee70602cd2da87fd86740291d39d466f4bf6552"
+CHAIN_SHAPE_DIGEST = "6c1d6470c1f5524a9477252b2a192ccace5f06475b7b1de2fd8e11f0c8acec9a"
 
 
 def test_chain_shapes_are_pinned():
@@ -616,6 +693,24 @@ def test_the_order_oracle_runs_no_chain_code(monkeypatch):
         monkeypatch.setattr(groups, name, fail)
     assert brute_force_order(horse) == 95040
     assert brute_force_order(faro) == 7680
+
+
+def test_the_order_oracle_holds_only_the_stabilizer_of_two_points(monkeypatch):
+    # |G| = |O_0| |O_1| |G_01|: horseshoe(12), M12, holds the 720 states of
+    # M10, not the 7,920 of M11, and faro(12) holds 64 of its 7,680
+    held = []
+    add_cosets = groups._add_cosets
+
+    def recorded(seen, *args):
+        add_cosets(seen, *args)
+        held.append(len(seen))
+
+    monkeypatch.setattr(groups, "_add_cosets", recorded)
+    cases = [(Family.HORSESHOE, 95040, 720), (Family.FARO, 7680, 64)]
+    for family, order, most in cases:
+        held.clear()
+        assert brute_force_order(family_generators(family, 12)) == order
+        assert held and max(held) <= most, family
 
 
 @settings(max_examples=50, deadline=None)
@@ -760,10 +855,10 @@ def test_the_batch_sift_answers_for_the_first_copy_of_a_repeat():
 
 
 def test_the_batch_sift_sifts_each_distinct_element_once():
-    # faro(24)'s 1,128 level-0 Schreier generators hold 554 repeats and
-    # identities, and deeper levels make more: verify looks up 2,015 coset
-    # representatives, 9,298 without dropping them, 3,326 without the drop
-    # on entry and 4,839 without the drops after the levels
+    # faro(24)'s Schreier generators hold repeats and identities, and deeper
+    # levels make more: verify looks up 1,404 coset representatives, 6,178
+    # without dropping them, 1,971 without the drop on entry and 3,579
+    # without the drops after the levels
     class Counting(dict):
         lookups = 0
 
@@ -772,7 +867,6 @@ def test_the_batch_sift_sifts_each_distinct_element_once():
             return dict.get(self, key, default)
 
     chain = schreier_sims(family_generators(Family.FARO, 24))
-    assert not chain.certified
     for level in chain._levels:
         level.coset = Counting(level.coset)
     chain.verify()
@@ -851,7 +945,7 @@ def test_only_a_bare_chain_scans_level_0(monkeypatch):
 
     monkeypatch.setattr(groups, "_schreier_generators", recorded)
     # the scanned chains: SCAN_GROUPS' first set, S_2 wr S_4, meets its bound
-    seeded = [family_generators(Family.FARO, 24), family_generators(Family.FLIP, 12)]
+    seeded = [family_generators(Family.FARO, 32), family_generators(Family.FLIP, 16)]
     seeded += [[Permutation(g) for g in images] for images in SCAN_GROUPS[1:]]
     seeded += [_wreath_generators(4, 16), _power_generators(8, 8)]
     for gens in seeded:
@@ -1058,7 +1152,7 @@ def test_the_chain_refuses_a_degree_above_the_budget_before_any_work(monkeypatch
 
 
 #: Oracle runs per ``group_order`` call: none for a certified chain, whose
-#: order meets the invariant bound; one for a scanned chain within the budget;
+#: order meets an invariant bound; one for a scanned chain within the budget;
 #: none for a scanned chain above it.
 ORACLE_CALLS = {
     (Family.FARO, 10): 0,
@@ -1066,8 +1160,9 @@ ORACLE_CALLS = {
     (Family.HORSESHOE, 4): 0,
     (Family.FARO, 20): 0,
     (Family.HORSESHOE, 12): 1,
-    (Family.FARO, 12): 1,
-    (Family.FLIP, 6): 1,
+    (Family.FARO, 12): 0,
+    (Family.FLIP, 6): 0,
+    (Family.FARO, 16): 1,
     (Family.FARO, 24): 0,
     (Family.FLIP, 12): 0,
 }
@@ -1107,14 +1202,18 @@ EVIDENCE_SIZES = {
 @pytest.mark.parametrize("family", list(EVIDENCE_SIZES))
 def test_every_order_carries_its_evidence(family):
     # The sweep that stands in for a runtime re-check of certified orders: a
-    # certified order is the invariant bound, and every order within the
-    # budget is the enumerated one.
+    # certified order is the order bound or the pair-quotient bound, and every
+    # order within the budget is the enumerated one.
     for size in EVIDENCE_SIZES[family]:
         gens = family_generators(family, size)
         chain = StabilizerChain(gens)
         if chain.certified:
-            bound = _order_bound([g.images for g in gens], chain.degree)
-            assert chain.order == bound, (family, size)
+            images = [g.images for g in gens]
+            bound, quotient = groups._invariant_bounds(images, chain.degree)
+            if chain.order != bound:
+                assert quotient is not None, (family, size)
+                quotient_bound = groups._quotient_bound(quotient, chain.order)
+                assert quotient_bound == chain.order, (family, size)
         if chain.order <= groups.BRUTE_FORCE_LIMIT:
             assert chain.order == brute_force_order(gens), (family, size)
             # the regular action's orbit: every element of the group, one by one
