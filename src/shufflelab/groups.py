@@ -252,17 +252,17 @@ def _block_involution(
 class _PairQuotient(NamedTuple):
     """A group's action on the n pairs {x, c(x)} of a centralizing involution c.
 
-    ``tables`` are the generators' images on the pairs as translate tables
-    (``_padded``); they generate the quotient Q, the group's image in S_n.
-    The kernel of the action swaps the two points of some pairs, so it
-    lies in F_2^n, and ``kernel`` bounds its order: 2^n, or 2^(n-1) when a
-    sign character that involves the point sign is trivial on every
-    generator.  The block sign is trivial on the kernel, so its elements
-    are then even: they swap an even number of pairs.
+    ``blocks`` are the generators' images on the pairs; they generate the
+    quotient Q, the group's image in S_n.  The kernel of the action swaps
+    the two points of some pairs, so it lies in F_2^n, and ``kernel``
+    bounds its order: 2^n, or 2^(n-1) when a sign character that involves
+    the point sign is trivial on every generator.  The block sign is
+    trivial on the kernel, so its elements are then even: they swap an
+    even number of pairs.
     """
 
     n: int
-    tables: list[bytes]
+    blocks: list[list[int]]
     kernel: int
 
 
@@ -307,8 +307,7 @@ def _invariant_bounds(
         for b in (False, True)
         if all((a and p) == (b and q) for p, q in signs)
     ]
-    quotient = _PairQuotient(n, list(map(_padded, blocks)), 2 ** (n - any(trivial)))
-    return bound // len(trivial), quotient
+    return bound // len(trivial), _PairQuotient(n, blocks, 2 ** (n - any(trivial)))
 
 
 def _order_bound(gens: Sequence[tuple[int, ...]], degree: int) -> int:
@@ -328,8 +327,9 @@ def _quotient_bound(quotient: _PairQuotient, order: int) -> Optional[int]:
     if order % quotient.kernel:
         return None
     limit = min(order // quotient.kernel, BRUTE_FORCE_LIMIT)
+    tables = list(map(_padded, quotient.blocks))
     try:
-        size = _orbit_stabilizer_count(quotient.tables, quotient.n, limit)
+        size = _orbit_stabilizer_count(tables, quotient.n, limit)
     except CapExceededError:
         return None
     return size * quotient.kernel
@@ -853,20 +853,23 @@ def _add_cosets(
 def _schreier_elements(
     transversal: dict[int, bytes], tables: Sequence[bytes], identity: bytes
 ) -> Iterator[bytes]:
-    """u_a g u_{g(a)}^-1 for each orbit point a, then each table g.
+    """The u_a g u_{g(a)}^-1 other than the identity, for each table g, then
+    each orbit point a.
 
     ``transversal`` maps each orbit point b to u_b, the bytes of its
-    images, and u_b^-1 is a ``bytes.maketrans`` table.  By Schreier's
-    lemma the results generate the stabilizer of the orbit's start point
-    (Seress, *Permutation Group Algorithms*, 2003, sec. 4.1).  The chain
-    forms the same products from its inverse tables
-    (``_schreier_generators``); the oracle keeps its own, so that its
-    count shares no code with the chain it checks.
+    images.  u_a g equals u_{g(a)} exactly when the product is the
+    identity, so only the others pay for the ``bytes.maketrans`` table
+    of u_{g(a)}^-1.  By Schreier's lemma the results generate the
+    stabilizer of the orbit's start point (Seress, *Permutation Group
+    Algorithms*, 2003, sec. 4.1).  The chain forms the same products
+    from its inverse tables (``_schreier_generators``); the oracle keeps
+    its own, so that its count shares no code with the chain it checks.
     """
-    inverses = {b: bytes.maketrans(u, identity) for b, u in transversal.items()}
-    for a, u in transversal.items():
-        for table in tables:
-            yield u.translate(table).translate(inverses[table[a]])
+    for table in tables:
+        for a, u in transversal.items():
+            x, u_b = u.translate(table), transversal[table[a]]
+            if x != u_b:
+                yield x.translate(bytes.maketrans(u_b, identity))
 
 
 def _orbit_stabilizer_count(tables: Sequence[bytes], m: int, limit: int) -> int:
@@ -874,11 +877,12 @@ def _orbit_stabilizer_count(tables: Sequence[bytes], m: int, limit: int) -> int:
 
     |G| = |O_0| |O_1| |G_01|: the orbit O_0 of point 0, the orbit O_1 of
     point 1 under the stabilizer G_0 of 0, and the stabilizer G_01 of
-    both.  G_0 is generated by the distinct non-identity Schreier
-    generators of O_0, and G_01 by the Schreier generators of O_1 under
-    those.  The latter are streamed: each that the states of G_01 do not
-    hold yet becomes a generator, at least doubling the subgroup, which
-    grows to the group of all of them by right cosets (``_add_cosets``).
+    both.  G_0 is generated by the distinct Schreier generators of O_0,
+    and G_01 by the Schreier generators of O_1 under those, identities
+    left out (``_schreier_elements``).  The latter are streamed: each
+    that the states of G_01 do not hold yet becomes a generator, at
+    least doubling the subgroup, which grows to the group of all of them
+    by right cosets (``_add_cosets``).
     On fewer than two points the padded tables fix 0 and 1, so the
     orbits count 1.
 
@@ -890,7 +894,7 @@ def _orbit_stabilizer_count(tables: Sequence[bytes], m: int, limit: int) -> int:
     orbit_0 = _transversal(tables, identity, bytes.translate)
     if len(orbit_0) > most:
         raise _exceeded(limit, "states")
-    schreier_0 = _distinct(_schreier_elements(orbit_0, tables, identity), identity)
+    schreier_0 = dict.fromkeys(_schreier_elements(orbit_0, tables, identity))
     tables_0 = list(map(_padded, schreier_0))
     orbit_1 = _transversal(tables_0, identity, bytes.translate, 1)
     orbits = len(orbit_0) * len(orbit_1)
