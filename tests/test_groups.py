@@ -313,7 +313,8 @@ def test_the_invariant_bound_runs_no_chain_code(monkeypatch):
         gens = [g.images for g in family_generators(family, size)]
         assert _order_bound(gens, len(gens[0])) == bound, (family, size)
     # the pair-quotient bound: |Q| counted on the n pairs, times the kernel
-    # factor, 2^6 at faro(12) and 2^11 at faro(24), where Q is M12
+    # factor; 120 * 2^6 at faro(12), and 95,040 * 2^11 at faro(24), whose Q
+    # is M12
     quotient_bounds = {12: 7680, 24: 194_641_920}
     for size, bound in quotient_bounds.items():
         gens = [g.images for g in family_generators(Family.FARO, size)]
