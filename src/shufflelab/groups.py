@@ -157,24 +157,33 @@ def _padded(images: Sequence[int]) -> bytes:
 
 
 def _transversal(
-    gens: Sequence[Sequence[int]], identity: Sequence[int], product, start: int = 0
+    gens: Sequence[Sequence[int]], identity: Sequence[int], product
 ) -> dict[int, Sequence[int]]:
-    """An element u_a that sends ``start`` to a, for every point a of its orbit.
+    """An element u_a that sends 0 to a, for every point a of the orbit of 0.
 
-    A breadth-first walk from u_start = ``identity``: a generator h that
-    reaches b from a gives u_b = ``product(u_a, h)``, u_a then h.  Tuples
+    A breadth-first walk from u_0 = ``identity`` (``_walk``).  Tuples
     with ``deck._compose`` and translate tables with ``bytes.translate``
     both serve.
     """
-    transversal = {start: identity}
-    queue = [start]
+    transversal = {0: identity}
+    _walk(transversal, gens, product)
+    return transversal
+
+
+def _walk(transversal: dict, gens: Sequence[Sequence[int]], product) -> None:
+    """Extend the transversal to the orbit of its points under the generators.
+
+    A breadth-first walk from every point it holds: a generator h that
+    reaches a new point b from a gives u_b = ``product(u_a, h)``, u_a
+    then h.  New points come after the old ones, in the order found.
+    """
+    queue = list(transversal)
     for a in queue:
         for h in gens:
             b = h[a]
             if b not in transversal:
                 transversal[b] = product(transversal[a], h)
                 queue.append(b)
-    return transversal
 
 
 # -- stabilizer chain ---------------------------------------------------------
@@ -308,11 +317,6 @@ def _invariant_bounds(
         if all((a and p) == (b and q) for p, q in signs)
     ]
     return bound // len(trivial), _PairQuotient(n, blocks, 2 ** (n - any(trivial)))
-
-
-def _order_bound(gens: Sequence[tuple[int, ...]], degree: int) -> int:
-    """The upper bound of ``_invariant_bounds`` alone."""
-    return _invariant_bounds(gens, degree)[0]
 
 
 def _quotient_bound(quotient: _PairQuotient, order: int) -> Optional[int]:
@@ -549,24 +553,19 @@ class StabilizerChain:
                 self._extend(s, 1)
         images = [g.images for g in gens]
         bound, quotient = _invariant_bounds(images, self.degree)
-        self._certified = self._random_phase(images, bound, quotient)
+        # the pair quotient counts a group, so it is counted only where the
+        # random phase stalls: its bound then proves the order it meets
+        self._certified = self._random_phase(images, bound) or (
+            quotient is not None
+            and _quotient_bound(quotient, self.order) == self.order
+        )
         if not self._certified:
             self._scan(complete=True)
 
     # construction
 
-    def _random_phase(
-        self,
-        gens: list[tuple[int, ...]],
-        bound: int,
-        quotient: Optional[_PairQuotient],
-    ) -> bool:
-        """Sift random elements until the order meets ``bound``: True if it did.
-
-        If the phase stalls, True if the order meets the pair quotient's
-        bound (``_quotient_bound``), which counts a group and so is
-        computed only then.
-        """
+    def _random_phase(self, gens: list[tuple[int, ...]], bound: int) -> bool:
+        """Sift random elements until the order meets ``bound``: True if it did."""
         if self.order == bound:
             return True
         if not self._levels:
@@ -576,10 +575,7 @@ class StabilizerChain:
             if not self._extend(x, 0):
                 idle += 1
                 if idle == _IDLE_SIFTS:
-                    if quotient is None:
-                        return False
-                    order = self.order
-                    return _quotient_bound(quotient, order) == order
+                    return False
                 continue
             idle = 0
             if self.order == bound:
@@ -851,23 +847,27 @@ def _add_cosets(
 
 
 def _schreier_elements(
-    transversal: dict[int, bytes], tables: Sequence[bytes], identity: bytes
+    transversal: dict[int, bytes],
+    tables: Sequence[bytes],
+    points: Iterable[int],
+    identity: bytes,
 ) -> Iterator[bytes]:
     """The u_a g u_{g(a)}^-1 other than the identity, for each table g, then
-    each orbit point a.
+    each of the orbit points a.
 
     ``transversal`` maps each orbit point b to u_b, the bytes of its
     images.  u_a g equals u_{g(a)} exactly when the product is the
     identity, so only the others pay for the ``bytes.maketrans`` table
-    of u_{g(a)}^-1.  By Schreier's lemma the results generate the
-    stabilizer of the orbit's start point (Seress, *Permutation Group
-    Algorithms*, 2003, sec. 4.1).  The chain forms the same products
-    from its inverse tables (``_schreier_generators``); the oracle keeps
-    its own, so that its count shares no code with the chain it checks.
+    of u_{g(a)}^-1.  By Schreier's lemma the results over every orbit
+    point and generator generate the stabilizer of the orbit's start
+    point (Seress, *Permutation Group Algorithms*, 2003, sec. 4.1).  The
+    chain forms the same products from its inverse tables
+    (``_schreier_generators``); the oracle keeps its own, so that its
+    count shares no code with the chain it checks.
     """
     for table in tables:
-        for a, u in transversal.items():
-            x, u_b = u.translate(table), transversal[table[a]]
+        for a in points:
+            x, u_b = transversal[a].translate(table), transversal[table[a]]
             if x != u_b:
                 yield x.translate(bytes.maketrans(u_b, identity))
 
@@ -877,35 +877,56 @@ def _orbit_stabilizer_count(tables: Sequence[bytes], m: int, limit: int) -> int:
 
     |G| = |O_0| |O_1| |G_01|: the orbit O_0 of point 0, the orbit O_1 of
     point 1 under the stabilizer G_0 of 0, and the stabilizer G_01 of
-    both.  G_0 is generated by the distinct Schreier generators of O_0,
-    and G_01 by the Schreier generators of O_1 under those, identities
-    left out (``_schreier_elements``).  The latter are streamed: each
-    that the states of G_01 do not hold yet becomes a generator, at
-    least doubling the subgroup, which grows to the group of all of them
-    by right cosets (``_add_cosets``).
+    both.  G_0 is generated by the distinct Schreier generators of O_0
+    (``_schreier_elements``).  A subgroup H of G_0 grows to it: each of
+    them that H does not hold joins H's generators, at least doubling
+    it, so H has at most log2 |G_0| of them.  H holds s when s sends 1 to
+    a point b of H's orbit of 1 and s u_b^-1 is in H_1, the stabilizer
+    of 1 in H.  The Schreier generators of H_1 are formed only for the
+    pairs of orbit point and generator that a new generator brings, and
+    each that the states of H_1 do not hold yet becomes a generator of
+    H_1, which grows to the group of all of them by right cosets
+    (``_add_cosets``).  When every Schreier generator of G_0 is held, H
+    is G_0 and H_1 is G_01.
     On fewer than two points the padded tables fix 0 and 1, so the
     orbits count 1.
 
-    An order above ``limit`` raises, where a limit below 1 counts as 1,
-    and G_01 never holds more than max(limit, 1) // (|O_0| |O_1|) states.
+    An order above ``limit`` raises, where a limit below 1 counts as 1.
+    H_1 lies in G_01, and |O_0| |orbit of 1 under H| |H_1| is at most
+    the order, so a count past the limit raises at once: the states
+    number at most |G_01| when the order is within the limit, and never
+    more than max(limit, 1) // |O_0|.
     """
     identity = bytes(range(m))
     most = max(limit, 1)
     orbit_0 = _transversal(tables, identity, bytes.translate)
     if len(orbit_0) > most:
         raise _exceeded(limit, "states")
-    schreier_0 = dict.fromkeys(_schreier_elements(orbit_0, tables, identity))
-    tables_0 = list(map(_padded, schreier_0))
-    orbit_1 = _transversal(tables_0, identity, bytes.translate, 1)
-    orbits = len(orbit_0) * len(orbit_1)
-    if orbits > most:
-        raise _exceeded(limit, "states")
+    schreier_0 = dict.fromkeys(_schreier_elements(orbit_0, tables, orbit_0, identity))
+    kept: list[bytes] = []
+    orbit_1 = {1: identity}
+    orbits = len(orbit_0)
     seen = {identity: None}
     tables_01: list[bytes] = []
-    for schreier in _schreier_elements(orbit_1, tables_0, identity):
-        if schreier not in seen:
-            tables_01.append(_padded(schreier))
-            _add_cosets(seen, tables_01, most // orbits, limit)
+    for s in schreier_0:
+        u = orbit_1.get(s[1])
+        if u is not None and s.translate(bytes.maketrans(u, identity)) in seen:
+            continue
+        table = _padded(s)
+        kept.append(table)
+        known = list(orbit_1)
+        _walk(orbit_1, kept, bytes.translate)
+        found = list(orbit_1)[len(known) :]
+        orbits = len(orbit_0) * len(orbit_1)
+        if orbits * len(seen) > most:
+            raise _exceeded(limit, "states")
+        # the pairs the new generator brings: it at the known points, and
+        # every generator at the points found
+        for pairs in (([table], known), (kept, found)):
+            for schreier in _schreier_elements(orbit_1, *pairs, identity):
+                if schreier not in seen:
+                    tables_01.append(_padded(schreier))
+                    _add_cosets(seen, tables_01, most // orbits, limit)
     return orbits * len(seen)
 
 
@@ -916,7 +937,10 @@ def brute_force_order(
 
     An element is the bytes of its images.  The orbit walks keep, for
     each orbit point, an element that sends the start point to it, and
-    Schreier's lemma gives the stabilizers' generators; the stabilizer
+    Schreier's lemma gives the stabilizers' generators.  Of those of the
+    stabilizer of 0, only the ones that enlarge the subgroup built so
+    far are used, at most log2 of its order, so the products formed at
+    point 1 grow with that and not with the orbit of 0.  The stabilizer
     of both points is enumerated by right cosets, each translated in one
     ``map`` call (``_orbit_stabilizer_count``).  Products are
     ``bytes.translate`` calls and inverses ``bytes.maketrans`` tables: no
@@ -924,7 +948,8 @@ def brute_force_order(
 
     An order above ``limit`` raises instead of returning a partial
     count, where a limit below 1 counts as 1; the stabilizer's states
-    never number more than max(limit, 1) // (|orbit of 0| |orbit of 1|).
+    number at most its order when the count is within the limit, and
+    never more than max(limit, 1) // |orbit of 0|.
     A limit that is no int is refused, and so are generators on more
     than ``MAX_CHAIN_POINTS`` points, before any state is built.
     """

@@ -28,7 +28,6 @@ from shufflelab.groups import (
     tuple_transitivity_order,
     verify_theorem,
 )
-from shufflelab.groups import _order_bound
 from shufflelab.shuffles import (
     Family,
     Shuffle,
@@ -274,7 +273,7 @@ def _identity_elements(gens, rng):
 def test_invariant_bound_meets_the_order_except_at_exceptional_sizes(family):
     for size in range(4, BOUND_TOP[family] + 1, 2):
         gens = [g.images for g in family_generators(family, size)]
-        bound = _order_bound(gens, len(gens[0]))
+        bound, _ = groups._invariant_bounds(gens, len(gens[0]))
         closed = closed_form_order(family, size).value
         assert bound >= closed, (family, size)
         assert (bound == closed) == (size not in EXCEPTIONAL[family]), (family, size)
@@ -311,7 +310,7 @@ def test_the_invariant_bound_runs_no_chain_code(monkeypatch):
     }
     for (family, size), bound in bounds.items():
         gens = [g.images for g in family_generators(family, size)]
-        assert _order_bound(gens, len(gens[0])) == bound, (family, size)
+        assert groups._invariant_bounds(gens, len(gens[0]))[0] == bound, (family, size)
     # the pair-quotient bound: |Q| counted on the n pairs, times the kernel
     # factor; 120 * 2^6 at faro(12), and 95,040 * 2^11 at faro(24), whose Q
     # is M12
@@ -714,6 +713,54 @@ def test_the_order_oracle_holds_only_the_stabilizer_of_two_points(monkeypatch):
         assert held and max(held) <= most, family
 
 
+def _affine_line(p, root):
+    """AGL(1, p) on the p points of GF(p): x + 1 and x * root."""
+    return [_cycle(p), Permutation(tuple(root * x % p for x in range(p)))]
+
+
+def _projective_line(p):
+    """PSL(2, p) on the p + 1 points of the projective line, p for infinity."""
+
+    def mobius(a, b, c, d):
+        # x -> (a x + b) / (c x + d), which sends infinity to a / c
+        def image(x):
+            top, bottom = (a, c) if x == p else (a * x + b, c * x + d)
+            return p if bottom % p == 0 else top * pow(bottom, -1, p) % p
+
+        return Permutation(tuple(map(image, range(p + 1))))
+
+    return [mobius(1, 1, 0, 1), mobius(0, p - 1, 1, 0), mobius(4, 0, 0, pow(4, -1, p))]
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [
+        (lambda: _affine_line(251, 6), 251 * 250),
+        (lambda: _projective_line(101), 102 * 101 * 100 // 2),
+    ],
+)
+def test_the_order_oracle_uses_at_most_log2_of_the_point_stabilizer(
+    monkeypatch, make, order
+):
+    # AGL(1, 251) and PSL(2, 101) have 11 and 109 distinct Schreier
+    # generators at point 0, and orbits of 250 and 101 points at point 1;
+    # only those that enlarge the part of the stabilizer G_0 found so far
+    # are used, each doubling it at least, and each walks the orbit of
+    # point 1 once, after the walk of 0's orbit
+    walks = []
+    walk = groups._walk
+
+    def recorded(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(groups, "_walk", recorded)
+    gens = make()
+    assert brute_force_order(gens) == order
+    stabilizer = order // gens[0].degree
+    assert 2 <= len(walks) <= 1 + math.log2(stabilizer)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(2, 7).flatmap(
@@ -729,7 +776,7 @@ def test_oracles_agree_with_the_chain_on_random_groups(images):
     order = chain.order
     assert brute_force_order(gens) == order
     assert tuple_transitivity_order(gens, m) == order
-    assert _order_bound([tuple(g) for g in images], m) >= order
+    assert groups._invariant_bounds([tuple(g) for g in images], m)[0] >= order
 
 
 @st.composite
@@ -1145,7 +1192,8 @@ def test_the_chain_refuses_a_degree_above_the_budget_before_any_work(monkeypatch
     def fail(*args):
         raise AssertionError("the chain did work before refusing its degree")
 
-    monkeypatch.setattr(groups, "_order_bound", fail)
+    for name in ("_invariant_bounds", "_quotient_bound"):
+        monkeypatch.setattr(groups, name, fail)
     monkeypatch.setattr(StabilizerChain, "_register", fail)
     make, degree, _ = BOUNDARY_GROUPS["300-cycle"]
     with pytest.raises(CapExceededError, match=f"group on {degree} points exceeds"):
@@ -1153,8 +1201,8 @@ def test_the_chain_refuses_a_degree_above_the_budget_before_any_work(monkeypatch
 
 
 #: Oracle runs per ``group_order`` call: none for a certified chain, whose
-#: order meets an invariant bound; one for a scanned chain within the budget;
-#: none for a scanned chain above it.
+#: order meets an invariant bound; one for a scanned chain within the budget.
+#: No shuffle chain scanned here passes the budget: see the next test.
 ORACLE_CALLS = {
     (Family.FARO, 10): 0,
     (Family.FARO, 14): 0,
@@ -1183,6 +1231,26 @@ def test_group_order_enumerates_only_scanned_chains_within_the_budget(
     monkeypatch.setattr(groups, "brute_force_order", counted)
     assert group_order(family, size) == closed_form_order(family, size).value
     assert len(calls) == ORACLE_CALLS[family, size]
+
+
+@pytest.mark.parametrize("limit, calls", [(95_040, 1), (95_039, 0)])
+def test_group_order_does_not_enumerate_a_scanned_chain_above_the_budget(
+    monkeypatch, limit, calls
+):
+    # horseshoe(12), M12 of order 95,040, has no pair quotient, so its chain
+    # is scanned; a budget one below its order leaves it unenumerated
+    counted = []
+    oracle = groups.brute_force_order
+
+    def recorded(*args):
+        counted.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(groups, "brute_force_order", recorded)
+    monkeypatch.setattr(groups, "BRUTE_FORCE_LIMIT", limit)
+    assert not StabilizerChain(family_generators(Family.HORSESHOE, 12)).certified
+    assert group_order(Family.HORSESHOE, 12) == 95040
+    assert len(counted) == calls
 
 
 def test_a_scanned_order_the_enumeration_contradicts_is_refused(monkeypatch):
