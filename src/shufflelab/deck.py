@@ -19,10 +19,11 @@ engine included: ``_compose`` (the product, and the gather of flags and
 cards along a permutation), ``_inverse`` and ``_cycles``.
 
 Checking policy: values are checked once, where they enter from outside,
-and each rule has one home here: ``_decimal`` for every number read from
-text (card tokens, the bit of ``bitJ``, ``--sizes`` lists and the CLI's
-number options, which allow one leading ``-`` before it): decimal
-digits only, with no ``+``, ``_`` or blank and at most 4300 of them;
+and each rule has one home here: ``_check_text`` for every text parser's
+argument (a ``str``), ``_decimal`` for every number read from text (card
+tokens, the bit of ``bitJ``, ``--sizes`` lists and the CLI's number
+options, which allow one leading ``-`` before it): decimal digits only,
+with no ``+``, ``_`` or blank and at most 4300 of them;
 ``_is_arrangement`` for labels and images (ints, not bools),
 ``_is_flags`` for face and turn-over flags (bools only), and
 ``check_deck_size`` for sizes (ints only).  Everything derived (shuffle
@@ -54,6 +55,12 @@ def check_deck_size(size: int) -> None:
         raise ShuffleLabError(f"deck size must be even and >= 2, got {size!r}")
     if size > MAX_DECK_SIZE:
         raise ShuffleLabError(f"deck size {size!r} exceeds cap {MAX_DECK_SIZE}")
+
+
+def _check_text(value: object, what: str) -> None:
+    """Refuse a parser's argument that is not a ``str``."""
+    if not isinstance(value, str):
+        raise ShuffleLabError(f"{what} must be a str, got {value!r}")
 
 
 def _decimal(text: str) -> Optional[int]:
@@ -156,6 +163,7 @@ class Card(NamedTuple):
 
 def parse_card(token: str) -> Card:
     """Parse a single card token: a decimal label, `~`-prefixed if face-up."""
+    _check_text(token, "card token")
     face_up = token.startswith("~")
     label = _decimal(token[1:] if face_up else token)
     if label is None:
@@ -197,6 +205,7 @@ class Deck(_Record):
         Trailing whitespace is tolerated; anything else must match the
         grammar exactly.
         """
+        _check_text(text, "deck text")
         body = text.rstrip()
         if not body:
             raise ShuffleLabError("empty deck text")

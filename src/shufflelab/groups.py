@@ -30,17 +30,17 @@ even size up to 40 and the powers of two within the chain budget,
 orders here overflow 64 bits already at twenty cards.  The closed forms
 of the order theorems are tabulated for verification runs.
 
-The chain stores one element format, the 256-byte ``bytes.translate``
+The engine has one element format, the 256-byte ``bytes.translate``
 table of ``_padded``, which the chain budget of 256 points allows.  For
 the bytes p of an element's images and a table q, ``p.translate(q)`` is
-p, then q.  The random phase and the seed pass make such products one
-at a time, and the completion scan and both oracles many per ``map``
-call, all on the stored tables.  Each level also keeps its orbit as
-bytes and a 256-byte membership mask, so two ``translate`` calls tell
-whether a new generator adds orbit points.  Only the queries (``sift``
-and ``in``) and ``_block_involution`` still multiply image tuples, with
-``deck._compose(p, q)``, one ``itemgetter`` call, which reads a stored
-table as it reads a tuple.
+p, then q.  A chain makes its generators' tables once (``_tables``) for
+the seed pass, the bounds and the random phase; the completion scan and
+both oracles multiply many tables per ``map`` call.  Each level keeps
+its orbit as bytes and a 256-byte membership mask, so two ``translate``
+calls tell whether a new generator adds orbit points.  Only the
+queries, ``sift`` and ``in``, still multiply image tuples, with
+``deck._compose``; they move to tables once the benchmark stops reading
+a faster query as more memory (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -148,42 +148,31 @@ _IDENTITY_TABLE = bytes(range(256))
 
 
 def _padded(images: Sequence[int]) -> bytes:
-    """The permutation as a 256-byte translate table, the identity above its degree.
-
-    For the bytes p of an element's images, ``p.translate(_padded(q))`` is
-    p, then q; ``MAX_CHAIN_POINTS`` = 256 lets every element be a table.
-    """
+    """The permutation as a 256-byte translate table, the identity above its degree."""
     return bytes(images) + _IDENTITY_TABLE[len(images) :]
 
 
-def _transversal(
-    gens: Sequence[Sequence[int]], identity: Sequence[int], product
-) -> dict[int, Sequence[int]]:
-    """An element u_a that sends 0 to a, for every point a of the orbit of 0.
-
-    A breadth-first walk from u_0 = ``identity`` (``_walk``).  Tuples
-    with ``deck._compose`` and translate tables with ``bytes.translate``
-    both serve.
-    """
-    transversal = {0: identity}
-    _walk(transversal, gens, product)
-    return transversal
+def _tables(generators: Sequence[Permutation]) -> list[bytes]:
+    """The generators as 256-byte ``bytes.translate`` tables."""
+    return [_padded(g.images) for g in generators]
 
 
-def _walk(transversal: dict, gens: Sequence[Sequence[int]], product) -> None:
-    """Extend the transversal to the orbit of its points under the generators.
+def _walk(transversal: dict[int, bytes], tables: Sequence[bytes]) -> dict[int, bytes]:
+    """Extend the transversal to the orbit of its points, and return it.
 
-    A breadth-first walk from every point it holds: a generator h that
-    reaches a new point b from a gives u_b = ``product(u_a, h)``, u_a
-    then h.  New points come after the old ones, in the order found.
+    It maps each point b to u_b, the bytes of an element that sends the
+    start point to b, so ``{s: bytes(range(m))}`` walks the orbit of s.
+    A table h that reaches a new point b from a gives u_b =
+    ``u_a.translate(h)``, u_a then h; new points come last, as found.
     """
     queue = list(transversal)
     for a in queue:
-        for h in gens:
+        for h in tables:
             b = h[a]
             if b not in transversal:
-                transversal[b] = product(transversal[a], h)
+                transversal[b] = transversal[a].translate(h)
                 queue.append(b)
+    return transversal
 
 
 # -- stabilizer chain ---------------------------------------------------------
@@ -208,9 +197,7 @@ def _is_odd(images: Sequence[int]) -> bool:
     return (len(images) - len(_cycles(images))) % 2 == 1
 
 
-def _spread(
-    gens: Sequence[tuple[int, ...]], c: list[int], start: Sequence[int]
-) -> bool:
+def _spread(tables: Sequence[bytes], c: list[int], start: Sequence[int]) -> bool:
     """Extend the partial map c (-1 where unset) by c(h(x)) = h(c(x)).
 
     Every edge from a point where c is set is checked; False on a clash.
@@ -218,7 +205,7 @@ def _spread(
     stack = list(start)
     while stack:
         x = stack.pop()
-        for h in gens:
+        for h in tables:
             a, b = h[x], h[c[x]]
             if c[a] < 0:
                 c[a] = b
@@ -228,58 +215,63 @@ def _spread(
     return True
 
 
-def _block_involution(
-    gens: Sequence[tuple[int, ...]], degree: int
-) -> Optional[list[int]]:
-    """A fixed-point-free involution commuting with every generator, or None.
+def _block_involution(tables: Sequence[bytes], degree: int) -> Optional[list[int]]:
+    """A fixed-point-free involution commuting with every table, or None.
 
-    Such a c is fixed by c(0) = y on the orbit of 0 and, as c(y) = 0, on
-    the orbit of y, so each candidate y is spread along those orbits
-    until an edge clashes; it must reach every point.  Then c is an
-    involution, and it moves every point, as it moves 0.
+    For the smallest point z where c is unset, c is fixed by an unset
+    c(z) = y on the orbit of z and, as c(y) = z, on the orbit of y, so
+    each y is spread along those orbits until an edge clashes.  Then c
+    is an involution there, and moves every point, as it moves z.  The
+    first y that spreads is kept, and the search goes on at the next
+    unset point; None if a point has no such y.  Orbits pair only where
+    their actions are isomorphic, so the first y is as good as any.
 
-    A candidate y in the orbit of 0 is reached from 0 by some group
-    element u_y, and then c(y) = u_y(c(0)) = u_y(y) must be 0, whichever
-    u_y is taken.  ``_transversal`` gives one u_y for every such y, and
-    the candidates that fail this are skipped without a spread, which
-    would clash.  The walk costs one product per orbit point, so only
-    the candidates that pass pay for a spread along the orbits.
+    A candidate y in the orbit of z is reached from z by some group
+    element u_y, and then c(y) = u_y(c(z)) = u_y(y) must be z, whichever
+    u_y is taken.  The walk of z's orbit (``_walk``) gives one u_y for
+    every such y, at one product per orbit point, and the candidates
+    that fail this are skipped without a spread, which would clash.
     """
-    if degree < 2:
-        return None
-    transversal = _transversal(gens, tuple(range(degree)), _compose)
-    for y in range(1, degree):
-        if y in transversal and transversal[y][y] != 0:
+    c = [-1] * degree
+    for z in range(degree):
+        if c[z] >= 0:
             continue
-        c = [-1] * degree
-        c[0], c[y] = y, 0
-        if _spread(gens, c, (0, y)) and -1 not in c:
-            return c
-    return None
+        transversal = _walk({z: bytes(range(degree))}, tables)
+        for y in range(z + 1, degree):
+            if c[y] >= 0 or (y in transversal and transversal[y][y] != z):
+                continue
+            trial = c.copy()
+            trial[z], trial[y] = y, z
+            if _spread(tables, trial, (z, y)):
+                c = trial
+                break
+        else:
+            return None
+    return c
 
 
 class _PairQuotient(NamedTuple):
     """A group's action on the n pairs {x, c(x)} of a centralizing involution c.
 
-    ``blocks`` are the generators' images on the pairs; they generate the
-    quotient Q, the group's image in S_n.  The kernel of the action swaps
-    the two points of some pairs, so it lies in F_2^n, and ``kernel``
-    bounds its order: 2^n, or 2^(n-1) when a sign character that involves
-    the point sign is trivial on every generator.  The block sign is
-    trivial on the kernel, so its elements are then even: they swap an
-    even number of pairs.
+    ``blocks`` are the generators' images on the pairs, as translate
+    tables (``_padded``); they generate the quotient Q, the group's image
+    in S_n.  The kernel of the action swaps the two points of some pairs,
+    so it lies in F_2^n, and ``kernel`` bounds its order: 2^n, or 2^(n-1)
+    when a sign character that involves the point sign is trivial on
+    every generator.  The block sign is trivial on the kernel, so its
+    elements are then even: they swap an even number of pairs.
     """
 
     n: int
-    blocks: list[list[int]]
+    blocks: list[bytes]
     kernel: int
 
 
 def _invariant_bounds(
-    gens: Sequence[tuple[int, ...]], degree: int
+    tables: Sequence[bytes], degree: int
 ) -> tuple[int, Optional[_PairQuotient]]:
-    """An upper bound on the order of the group the generators generate,
-    and the group's pair quotient where a centralizing involution exists.
+    """An upper bound on the order of the group the tables generate, and
+    the group's pair quotient where a centralizing involution exists.
 
     If a fixed-point-free involution c commutes with every generator,
     the group lies in its centralizer, S_2 wr S_n on n = degree/2 blocks
@@ -291,10 +283,10 @@ def _invariant_bounds(
     kept as the quotient's generators (``_PairQuotient``).  Otherwise the
     bound is degree!, halved when every generator is even.
     """
-    c = _block_involution(gens, degree)
+    c = _block_involution(tables, degree)
     if c is None:
         bound = math.factorial(degree)
-        if degree >= 2 and not any(map(_is_odd, gens)):
+        if degree >= 2 and not any(_is_odd(h[:degree]) for h in tables):
             bound //= 2
         return bound, None
     n = degree // 2
@@ -305,8 +297,8 @@ def _invariant_bounds(
     block_of = [0] * degree
     for k, x in enumerate(reps):
         block_of[x] = block_of[c[x]] = k
-    blocks = [[block_of[h[x]] for x in reps] for h in gens]
-    signs = [(_is_odd(h), _is_odd(b)) for h, b in zip(gens, blocks)]
+    blocks = [_padded([block_of[h[x]] for x in reps]) for h in tables]
+    signs = [(_is_odd(h[:degree]), _is_odd(b[:n])) for h, b in zip(tables, blocks)]
     # whether each of the characters 1, point sign, block sign and their
     # product that is trivial on every generator involves the point sign:
     # (a, b) picks the signs multiplied together
@@ -331,9 +323,8 @@ def _quotient_bound(quotient: _PairQuotient, order: int) -> Optional[int]:
     if order % quotient.kernel:
         return None
     limit = min(order // quotient.kernel, BRUTE_FORCE_LIMIT)
-    tables = list(map(_padded, quotient.blocks))
     try:
-        size = _orbit_stabilizer_count(tables, quotient.n, limit)
+        size = _orbit_stabilizer_count(quotient.blocks, quotient.n, limit)
     except CapExceededError:
         return None
     return size * quotient.kernel
@@ -360,20 +351,20 @@ def _index_pairs(rng: random.Random, n: int) -> Iterator[tuple[int, int]]:
 
 
 def _random_elements(
-    gens: Sequence[Sequence[int]], rng: random.Random
+    tables: Sequence[bytes], degree: int, rng: random.Random
 ) -> Iterator[bytes]:
     """Random group elements by product replacement with an accumulator.
 
-    A list of at least ten elements starts as copies of the generators;
-    each step replaces a random one, s_i, by s_i s_j for another random
-    one, and multiplies the accumulator by the result (Celler et al.,
-    1995).  In a finite group s_j^-1 is a power of s_j, so the list
-    always generates the group.  The list holds translate tables
-    (``_padded``), and each product is one ``bytes.translate`` call; the
-    accumulator, and each element yielded, is the bytes of its images.
+    A list of at least ten elements starts as copies of the generators'
+    translate tables; each step replaces a random one, s_i, by s_i s_j
+    for another random one, and multiplies the accumulator by the result
+    (Celler et al., 1995).  In a finite group s_j^-1 is a power of s_j,
+    so the list always generates the group.  Each product is one
+    ``bytes.translate`` call; the accumulator, and each element yielded,
+    is the bytes of its ``degree`` images.
     """
-    slots = [_padded(gens[i % len(gens)]) for i in range(max(10, 2 * len(gens)))]
-    x = slots[0][: len(gens[0])]
+    slots = [tables[i % len(tables)] for i in range(max(10, 2 * len(tables)))]
+    x = slots[0][:degree]
     for step, (i, j) in enumerate(_index_pairs(rng, len(slots))):
         slots[i] = slots[i].translate(slots[j])
         x = x.translate(slots[i])
@@ -485,10 +476,8 @@ class StabilizerChain:
     proves it.  Otherwise the classical Schreier-Sims scan completes the
     chain (Holt, Eick & O'Brien, *Handbook of CGT*, 2005, ch. 4), so the
     order is exact either way.  ``certified`` tells which path closed the
-    chain.  The seed pass and the random phase sift the bytes of each
-    element's images through the stored tables, one ``bytes.translate``
-    per level, and the random elements are products of translate tables
-    (``_random_elements``).
+    chain.  The seed pass and the random phase sift bytes through the
+    stored tables, one ``bytes.translate`` per level.
 
     The scan sifts the Schreier generators of each level, deepest level
     first, through the levels below it.  The first residue, in the order
@@ -534,8 +523,9 @@ class StabilizerChain:
         self._identity = tuple(range(self.degree))
         self._identity_bytes = bytes(self._identity)
         self._levels: list[_Level] = []
-        for g in gens:
-            self._extend(g.images, 0)
+        tables = _tables(gens)
+        for table in tables:
+            self._extend(table[: self.degree], 0)
         # Whether the seed pass ran, which proves level 0 (see ``_scan``).
         self._seeded = bool(self._levels)
         if self._seeded:
@@ -547,15 +537,14 @@ class StabilizerChain:
             # random residues alone).  Only the points and generators the
             # seed left are used: both are taken before the first sift.
             level = self._levels[0]
-            coset, tables = dict(level.coset), list(level.gens)
-            schreier = _schreier_generators(coset, tables, self.degree)
+            coset, seed = dict(level.coset), list(level.gens)
+            schreier = _schreier_generators(coset, seed, self.degree)
             for s in _distinct(schreier, self._identity_bytes):
                 self._extend(s, 1)
-        images = [g.images for g in gens]
-        bound, quotient = _invariant_bounds(images, self.degree)
+        bound, quotient = _invariant_bounds(tables, self.degree)
         # the pair quotient counts a group, so it is counted only where the
         # random phase stalls: its bound then proves the order it meets
-        self._certified = self._random_phase(images, bound) or (
+        self._certified = self._random_phase(tables, bound) or (
             quotient is not None
             and _quotient_bound(quotient, self.order) == self.order
         )
@@ -564,14 +553,14 @@ class StabilizerChain:
 
     # construction
 
-    def _random_phase(self, gens: list[tuple[int, ...]], bound: int) -> bool:
+    def _random_phase(self, tables: list[bytes], bound: int) -> bool:
         """Sift random elements until the order meets ``bound``: True if it did."""
         if self.order == bound:
             return True
         if not self._levels:
             return False
         idle = 0
-        for x in _random_elements(gens, random.Random(_RANDOM_SEED)):
+        for x in _random_elements(tables, self.degree, random.Random(_RANDOM_SEED)):
             if not self._extend(x, 0):
                 idle += 1
                 if idle == _IDLE_SIFTS:
@@ -581,11 +570,9 @@ class StabilizerChain:
             if self.order == bound:
                 return True
 
-    def _extend(self, g: Sequence[int], start: int) -> bool:
-        """Sift g as bytes from level ``start``; register its residue: True if any."""
-        residue, depth = self._strip(
-            bytes(g), start, bytes.translate, self._identity_bytes
-        )
+    def _extend(self, g: bytes, start: int) -> bool:
+        """Sift the bytes g from level ``start``; register its residue: True if any."""
+        residue, depth = self._strip(g, start, bytes.translate, self._identity_bytes)
         if residue is None:
             return False
         self._register(residue, depth)
@@ -765,11 +752,6 @@ def schreier_sims(
 # -- brute-force oracles ------------------------------------------------------
 
 
-def _tables(generators: Sequence[Permutation]) -> list[bytes]:
-    """The generators as 256-byte ``bytes.translate`` tables."""
-    return [_padded(g.images) for g in generators]
-
-
 def _exceeded(cap: int, what: str) -> CapExceededError:
     return CapExceededError(f"orbit exceeded {cap} {what} during enumeration")
 
@@ -899,7 +881,7 @@ def _orbit_stabilizer_count(tables: Sequence[bytes], m: int, limit: int) -> int:
     """
     identity = bytes(range(m))
     most = max(limit, 1)
-    orbit_0 = _transversal(tables, identity, bytes.translate)
+    orbit_0 = _walk({0: identity}, tables)
     if len(orbit_0) > most:
         raise _exceeded(limit, "states")
     schreier_0 = dict.fromkeys(_schreier_elements(orbit_0, tables, orbit_0, identity))
@@ -915,8 +897,7 @@ def _orbit_stabilizer_count(tables: Sequence[bytes], m: int, limit: int) -> int:
         table = _padded(s)
         kept.append(table)
         known = list(orbit_1)
-        _walk(orbit_1, kept, bytes.translate)
-        found = list(orbit_1)[len(known) :]
+        found = list(_walk(orbit_1, kept))[len(known) :]
         orbits = len(orbit_0) * len(orbit_1)
         if orbits * len(seen) > most:
             raise _exceeded(limit, "states")

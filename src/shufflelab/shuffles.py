@@ -37,6 +37,7 @@ from .deck import (
     OrientedPermutation,
     Permutation,
     ShuffleLabError,
+    _check_text,
     _Record,
     _unchecked,
     apply_oriented,
@@ -82,6 +83,7 @@ class Step(_Record):
     @classmethod
     def parse(cls, token: str) -> "Step":
         """Parse a word token such as ``flip-in`` or ``inv:milk``."""
+        _check_text(token, "shuffle token")
         step = _STEPS.get(token.strip().lower())
         if step is None:
             raise ShuffleLabError(f"unknown shuffle token {token!r}")
@@ -117,6 +119,7 @@ def as_word(value: WordLike) -> Word:
 
 def parse_word(text: str) -> Word:
     """Parse comma- or whitespace-separated shuffle tokens, case-insensitive."""
+    _check_text(text, "shuffle word")
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     return tuple(Step.parse(t) for t in tokens)
 
@@ -137,6 +140,7 @@ class Family(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "Family":
+        _check_text(token, "family")
         for fam in cls:
             if fam.value == token.strip().lower():
                 return fam

@@ -30,6 +30,7 @@ from .deck import (
     MAX_DECK_SIZE,
     Deck,
     ShuffleLabError,
+    _check_text,
     _decimal,
     _is_arrangement,
     _Record,
@@ -91,6 +92,7 @@ class DiagramOp(_Record):
 
     @classmethod
     def parse(cls, token: str) -> "DiagramOp":
+        _check_text(token, "diagram operation")
         text = token.strip().lower()
         if text == "complement":
             return cls.complement()
@@ -247,6 +249,7 @@ def card_value(token: str, k: int) -> int:
     before the cards' range, 1 << k, is computed.
     """
     _check_k(k)
+    _check_text(token, "card")
     text = token.strip().upper()
     value = 1 if text == "A" else _decimal(text)
     if value is None:

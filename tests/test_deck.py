@@ -17,12 +17,13 @@ from shufflelab.deck import (
     contract_staystack,
     expand_staystack,
     is_staystack,
+    parse_card,
 )
 from shufflelab.deck import _unchecked
 from shufflelab.elmsley import PositionGraph, shortest_words
 from shufflelab.groups import GroupOrderReport, verify_theorem
-from shufflelab.shuffles import Family, Shuffle, Step, element
-from shufflelab.special import DiagramOp, trick_session
+from shufflelab.shuffles import Family, Shuffle, Step, element, parse_word
+from shufflelab.special import DiagramOp, card_value, trick_session
 
 
 def random_deck(rng, size):
@@ -365,6 +366,24 @@ def test_card_tokens_take_only_decimal_digits(token):
         Deck.parse(f"{token} 0")
     # the decimal digits of other scripts are what int() accepts
     assert Deck.parse("١ ~٠") == Deck.parse("1 ~0")
+
+
+@pytest.mark.parametrize(
+    "parse, what",
+    [
+        (parse_card, "card token"),
+        (Deck.parse, "deck text"),
+        (Step.parse, "shuffle token"),
+        (parse_word, "shuffle word"),
+        (Family.parse, "family"),
+        (DiagramOp.parse, "diagram operation"),
+        (lambda value: card_value(value, 3), "card"),
+    ],
+)
+@pytest.mark.parametrize("value", [3, None, b"faro-in", ["0", "1"]])
+def test_text_parsers_refuse_a_value_that_is_not_a_str(parse, what, value):
+    with pytest.raises(ShuffleLabError, match=f"^{what} must be a str, got "):
+        parse(value)
 
 
 def test_card_tokens_past_the_int_digit_limit_are_refused():

@@ -265,23 +265,23 @@ CHAIN_TOP = {Family.FARO: 30, Family.HORSESHOE: 30, Family.FLIP: 16}
 BOUND_TOP = {Family.FARO: 100, Family.HORSESHOE: 100, Family.FLIP: 50}
 
 
-def _identity_elements(gens, rng):
-    return itertools.repeat(tuple(range(len(gens[0]))))
+def _identity_elements(tables, degree, rng):
+    return itertools.repeat(bytes(range(degree)))
 
 
 @pytest.mark.parametrize("family", list(BOUND_TOP))
 def test_invariant_bound_meets_the_order_except_at_exceptional_sizes(family):
     for size in range(4, BOUND_TOP[family] + 1, 2):
-        gens = [g.images for g in family_generators(family, size)]
-        bound, _ = groups._invariant_bounds(gens, len(gens[0]))
+        gens = family_generators(family, size)
+        bound, _ = groups._invariant_bounds(groups._tables(gens), gens[0].degree)
         closed = closed_form_order(family, size).value
         assert bound >= closed, (family, size)
         assert (bound == closed) == (size not in EXCEPTIONAL[family]), (family, size)
 
 
 def test_block_involution_skips_candidates_the_orbit_rules_out(monkeypatch):
-    # on a 1000-cycle only y = 500 has u_y(y) = 2y = 0 (mod 1000); spreading
-    # every candidate would take 500 spreads
+    # on a 256-cycle only y = 128 has u_y(y) = 2y = 0 (mod 256); spreading
+    # every candidate would take 128 spreads
     spreads = []
     spread = groups._spread
 
@@ -290,10 +290,20 @@ def test_block_involution_skips_candidates_the_orbit_rules_out(monkeypatch):
         return spread(*args)
 
     monkeypatch.setattr(groups, "_spread", counted)
-    m = 1000
-    c = groups._block_involution([_cycle(m).images], m)
+    m = 256
+    c = groups._block_involution(groups._tables([_cycle(m)]), m)
     assert c == [(x + m // 2) % m for x in range(m)]
     assert len(spreads) <= 2
+
+
+def test_block_involution_pairs_every_orbit():
+    # the identity has four orbits; c(0) = 1 leaves 2 and 3 unset, and the
+    # search goes on at 2
+    identity = groups._tables([Permutation.identity(4)])
+    assert groups._block_involution(identity, 4) == [1, 0, 3, 2]
+    # a 3-cycle's orbit cannot pair with itself, nor with a fixed point
+    three = groups._tables([Permutation((1, 2, 0, 3))])
+    assert groups._block_involution(three, 4) is None
 
 
 def test_the_invariant_bound_runs_no_chain_code(monkeypatch):
@@ -309,18 +319,48 @@ def test_the_invariant_bound_runs_no_chain_code(monkeypatch):
         (Family.FLIP, 6): 2**6 * math.factorial(6),
     }
     for (family, size), bound in bounds.items():
-        gens = [g.images for g in family_generators(family, size)]
-        assert groups._invariant_bounds(gens, len(gens[0]))[0] == bound, (family, size)
+        gens = family_generators(family, size)
+        tables = groups._tables(gens)
+        assert groups._invariant_bounds(tables, gens[0].degree)[0] == bound, (family, size)
     # the pair-quotient bound: |Q| counted on the n pairs, times the kernel
     # factor; 120 * 2^6 at faro(12), and 95,040 * 2^11 at faro(24), whose Q
     # is M12
     quotient_bounds = {12: 7680, 24: 194_641_920}
     for size, bound in quotient_bounds.items():
-        gens = [g.images for g in family_generators(Family.FARO, size)]
-        _, quotient = groups._invariant_bounds(gens, size)
+        tables = groups._tables(family_generators(Family.FARO, size))
+        _, quotient = groups._invariant_bounds(tables, size)
         assert groups._quotient_bound(quotient, bound) == bound, size
         # the count stops past order // kernel
         assert groups._quotient_bound(quotient, bound - quotient.kernel) is None, size
+
+
+class _TupleProduct(Exception):
+    pass
+
+
+def test_only_the_queries_multiply_image_tuples(monkeypatch):
+    # builds, bounds and oracles read translate tables; sift and in are the
+    # last callers of the tuple product
+    def fail(*args):
+        raise _TupleProduct
+
+    monkeypatch.setattr(groups, "_compose", fail)
+    tops = {Family.FARO: 48, Family.HORSESHOE: 48, Family.FLIP: 24}
+    for family, top in tops.items():
+        for size in range(2, top + 1, 2):
+            gens = family_generators(family, size)
+            chain = StabilizerChain(gens)
+            assert group_order(family, size) == chain.order, (family, size)
+            bound, quotient = groups._invariant_bounds(groups._tables(gens), chain.degree)
+            assert bound >= chain.order, (family, size)
+            if quotient is not None:
+                groups._quotient_bound(quotient, chain.order)
+            if chain.order <= groups.BRUTE_FORCE_LIMIT:
+                assert brute_force_order(gens) == chain.order, (family, size)
+    with pytest.raises(_TupleProduct):
+        chain.sift(gens[0])
+    with pytest.raises(_TupleProduct):
+        assert gens[0] in chain
 
 
 @st.composite
@@ -345,18 +385,19 @@ def test_the_pair_quotient_bound_holds_on_random_subgroups_of_s2_wr_sn(images):
     order = brute_force_order(gens)
     chain = schreier_sims(gens)
     assert chain.order == order
-    bound, quotient = groups._invariant_bounds(images, len(images[0]))
-    # the involution search spreads c along the orbits of 0 and c(0) only,
-    # so it finds none where they leave points out
-    if quotient is None:
-        assert not chain.certified or order == bound
-        return
+    bound, quotient = groups._invariant_bounds(groups._tables(gens), len(images[0]))
+    # the pairing {2i, 2i + 1} commutes with every group here, and the
+    # involution search pairs every orbit, so it finds one
+    assert quotient is not None
     # counted up to the order bound, it is |Q| times the kernel factor
     quotient_bound = groups._quotient_bound(quotient, bound)
     assert order <= quotient_bound <= bound
-    # the count at exactly quotient_bound // kernel passes, and one less refuses
+    # the count at exactly quotient_bound // kernel passes, and one less
+    # refuses; for a trivial Q one less is a limit of 0, which counts as 1
     assert groups._quotient_bound(quotient, quotient_bound) == quotient_bound
-    assert groups._quotient_bound(quotient, quotient_bound - quotient.kernel) is None
+    if quotient_bound > quotient.kernel:
+        less = quotient_bound - quotient.kernel
+        assert groups._quotient_bound(quotient, less) is None
     if chain.certified:
         assert order in (bound, quotient_bound)
 
@@ -776,7 +817,7 @@ def test_oracles_agree_with_the_chain_on_random_groups(images):
     order = chain.order
     assert brute_force_order(gens) == order
     assert tuple_transitivity_order(gens, m) == order
-    assert groups._invariant_bounds([tuple(g) for g in images], m)[0] >= order
+    assert groups._invariant_bounds(groups._tables(gens), m)[0] >= order
 
 
 @st.composite
@@ -1277,8 +1318,8 @@ def test_every_order_carries_its_evidence(family):
         gens = family_generators(family, size)
         chain = StabilizerChain(gens)
         if chain.certified:
-            images = [g.images for g in gens]
-            bound, quotient = groups._invariant_bounds(images, chain.degree)
+            tables = groups._tables(gens)
+            bound, quotient = groups._invariant_bounds(tables, chain.degree)
             if chain.order != bound:
                 assert quotient is not None, (family, size)
                 quotient_bound = groups._quotient_bound(quotient, chain.order)
