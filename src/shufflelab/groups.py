@@ -34,10 +34,11 @@ The engine has one element format, the 256-byte ``bytes.translate``
 table of ``_padded``, which the chain budget of 256 points allows.  For
 the bytes p of an element's images and a table q, ``p.translate(q)`` is
 p, then q.  A chain makes its generators' tables once (``_tables``) for
-the seed pass, the bounds and the random phase; the completion scan and
-both oracles multiply many tables per ``map`` call.  Each level keeps
-its orbit as bytes and a 256-byte membership mask, so two ``translate``
-calls tell whether a new generator adds orbit points.  Only the
+the seed pass, the bounds and the random phase, and every pass over the
+chain, the completion scan included, strips one element at a time
+(``_strip``); both oracles multiply many tables per ``map`` call.  Each
+level keeps its orbit as bytes and a 256-byte membership mask, so two
+``translate`` calls tell whether a new generator adds orbit points.  Only the
 queries, ``sift`` and ``in``, still multiply image tuples, with
 ``deck._compose``; they move to tables once the benchmark stops reading
 a faster query as more memory (ROADMAP item 1).
@@ -188,7 +189,9 @@ _WARMUP_STEPS = 40
 #: suggests that the bound exceeds the order; a wrong guess costs only time,
 #: as the scan completes any chain.
 _IDLE_SIFTS = 30
-#: Most Schreier generators the completion scan sifts in one batch.
+#: Most Schreier generators the completion scan holds at once: it reads each
+#: level's in windows of this many, drops each window's repeats and strips the
+#: rest one at a time.
 _SCAN_BATCH = 1024
 
 
@@ -430,9 +433,14 @@ class _Level:
                     queue.append(b)
 
 
-def _distinct(batch: Iterable[bytes], identity: bytes) -> list[bytes]:
-    """The batch without the identity and without repeats, first copies in order."""
-    kept = dict.fromkeys(batch)
+def _distinct(window: Iterable[bytes], identity: bytes) -> list[bytes]:
+    """The elements without the identity and without repeats, first copies in order.
+
+    A repeat strips as its first copy does, and the identity strips
+    through, so neither can change the first residue of the seed pass or
+    of a scan window.
+    """
+    kept = dict.fromkeys(window)
     kept.pop(identity, None)
     return list(kept)
 
@@ -491,14 +499,12 @@ class StabilizerChain:
     pass.  ``verify`` runs the same scan and raises on any residue: for a
     constructed chain it rechecks levels 1 and below.  The scan reads
     the levels' translate tables as they are stored, with nothing
-    converted: up to ``_SCAN_BATCH`` Schreier generators at a time go
-    through the deeper levels one level per ``map`` call
-    (``_sift_batch``), with the same residue and depth as ``_sift_tuple``
-    one at a time, and the residue, the bytes of its images, is
-    registered as it is.  A batch sifts each distinct element once: a
-    repeat, or the identity, cannot change the first residue, so the
-    batch drops them on entry and again wherever it outnumbers the chain
-    left below a level.
+    converted, and strips with ``_strip``, as the seed pass and the random
+    phase do; the residue, the bytes of its images, is registered as it
+    is.  It holds at most ``_SCAN_BATCH`` Schreier generators: it reads a
+    level's in windows of that many, drops the identity and the repeats
+    of each window (``_distinct``), which cannot change the first
+    residue, and strips the rest one at a time.
 
     Base points are the smallest point each new level's generator
     moves.  A generator introduced at level j fixes the first j base
@@ -601,7 +607,7 @@ class StabilizerChain:
         levels then generate the stabilizer of the first base point, so
         no level-0 Schreier generator can leave a residue.
         """
-        levels = self._levels
+        levels, identity = self._levels, self._identity_bytes
         last = 1 if self._seeded else 0
         i = len(levels) - 1
         while i >= last:
@@ -609,58 +615,20 @@ class StabilizerChain:
             schreier = _schreier_generators(level.coset, level.gens, self.degree)
             # the scan stops at the first residue, before it is registered
             # and the level it reads changes
-            while batch := list(islice(schreier, _SCAN_BATCH)):
-                found = self._sift_batch(batch, i + 1)
-                if found is not None:
-                    break
-            else:
+            found = None
+            while found is None and (window := list(islice(schreier, _SCAN_BATCH))):
+                for s in _distinct(window, identity):
+                    residue, depth = self._strip(s, i + 1, bytes.translate, identity)
+                    if residue is not None:
+                        found = residue, depth
+                        break
+            if found is None:
                 i -= 1
                 continue
             if not complete:
                 raise ShuffleLabError("stabilizer chain failed verification")
             self._register(*found)
             i = found[1]
-
-    def _sift_batch(
-        self, batch: list[bytes], start: int
-    ) -> Optional[tuple[bytes, int]]:
-        """Sift the batch from level ``start``: the first residue and its depth.
-
-        They are what ``_sift_tuple`` gives for the first element that
-        does not sift to the identity; None if every element does.  The
-        batch goes through one level per ``map`` call.  At a level
-        where some element has no coset representative, the batch is cut
-        before the first such element, which is the answer unless one
-        before it stops at a deeper level.
-
-        A repeat sifts as its first copy does, and the identity sifts
-        through, so both are dropped (``_distinct``) on entry, and again
-        after each level where the batch is longer than the product of
-        the orbit sizes of the levels below it: the members of the chain
-        left then repeat.  Elsewhere the hashing would find few repeats
-        and cost more than it saves, in deep groups such as S8 wr S16.
-        """
-        levels, identity = self._levels, self._identity_bytes
-        # the product of the orbit sizes below each level, the last level first
-        below = [1]
-        for level in reversed(levels[start + 1 :]):
-            below.append(below[-1] * len(level.coset))
-        batch = _distinct(batch, identity)
-        found = None
-        for j in range(start, len(levels)):
-            if not batch:
-                return found
-            level = levels[j]
-            reps = list(map(level.coset.get, map(itemgetter(level.beta), batch)))
-            if None in reps:
-                cut = reps.index(None)
-                found = batch[cut], j
-                del batch[cut:], reps[cut:]
-            batch = list(map(bytes.translate, batch, reps))
-            if below.pop() < len(batch):
-                batch = _distinct(batch, identity)
-        residue = next(filter(identity.__ne__, batch), None)
-        return found if residue is None else (residue, len(levels))
 
     def _sift_tuple(
         self, g: tuple[int, ...], start: int
@@ -757,12 +725,7 @@ def _exceeded(cap: int, what: str) -> CapExceededError:
 
 
 def _close(
-    seen: dict[bytes, None],
-    frontier: list[bytes],
-    tables: Sequence[bytes],
-    most: int,
-    cap: int,
-    what: str,
+    seen: dict[bytes, None], frontier: list[bytes], tables: Sequence[bytes], cap: int
 ) -> None:
     """Close the states ``seen`` under the tables, breadth-first from ``frontier``.
 
@@ -775,13 +738,14 @@ def _close(
     order and an update of a present key does not move it, so the next
     frontier is the keys the level appended, read from the dict's end.
 
-    More than ``most`` states raises, with ``cap`` and ``what`` in the
-    text.  Each update gets at most ``most + 1 - len(seen)`` candidates,
-    so the dict never holds more than most + 1 states and the check is
-    as exact as one state at a time.
+    More than ``cap`` nodes raises, where a cap below 1 counts as 1.
+    Each update gets at most ``most + 1 - len(seen)`` candidates, for
+    most = max(cap, 1), so the dict never holds more than most + 1 states
+    and the check is as exact as one state at a time.
     """
     # A dict rather than a set: its compact table held the 322,560 states
     # of faro(14) at a peak about 14 MiB lower than a set did.
+    most = max(cap, 1)
     while frontier:
         before = len(seen)
         for table in tables:
@@ -791,7 +755,7 @@ def _close(
                 room = most + 1 - len(seen)
                 seen.update(zip(islice(candidates, room), repeat(None)))
                 if len(seen) > most:
-                    raise _exceeded(cap, what)
+                    raise _exceeded(cap, "nodes")
                 left -= room
         frontier = list(islice(reversed(seen), len(seen) - before))
 
@@ -958,7 +922,7 @@ def tuple_transitivity_order(
         raise ShuffleLabError(f"tuple length {t} out of range for degree {m}")
     start = bytes(range(t))
     seen = {start: None}
-    _close(seen, [start], _tables(generators), max(node_cap, 1), node_cap, "nodes")
+    _close(seen, [start], _tables(generators), node_cap)
     return len(seen)
 
 
@@ -1145,6 +1109,8 @@ def verify_theorem(family: Family, sizes: Iterable[int]) -> list[GroupOrderRepor
     and never pays for the closed form's factorial.
     """
     check_family(family)
+    if not isinstance(sizes, Iterable):
+        raise ShuffleLabError(f"sizes must be an iterable of ints, got {sizes!r}")
     reports = []
     for size in sizes:
         try:

@@ -28,6 +28,7 @@ left to right.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache, reduce
 from typing import Sequence, Union
@@ -114,6 +115,9 @@ def as_word(value: WordLike) -> Word:
     """Normalize a shuffle, step, or sequence of either into a word."""
     if isinstance(value, (Shuffle, Step)):
         return (as_step(value),)
+    if not isinstance(value, Iterable):
+        text = f"word must be a shuffle, a step or an iterable of them, got {value!r}"
+        raise ShuffleLabError(text)
     return tuple(as_step(v) for v in value)
 
 
@@ -304,6 +308,7 @@ def horseshoe_position_step(k: int, pos: str, kind: Shuffle) -> str:
         raise ShuffleLabError(f"expected a horseshoe shuffle, got {kind}")
     if type(k) is not int or k < 1:
         raise ShuffleLabError(f"k must be >= 1, got {k!r}")
+    _check_text(pos, "position")
     if len(pos) != k or any(c not in "01" for c in pos):
         raise ShuffleLabError(f"position must be a {k}-bit string, got {pos!r}")
     x = int(pos, 2)

@@ -22,9 +22,10 @@ forced, working from the outside in.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import xor
-from typing import Optional, Sequence
+from typing import Optional
 
 from .deck import (
     MAX_DECK_SIZE,
@@ -190,6 +191,8 @@ def recognize(values: Sequence[int]) -> Optional[SpecialOrdering]:
     The first value is forced, and the second value pins the starting
     operation, so a single regeneration settles it.
     """
+    if not isinstance(values, Sequence):
+        raise ShuffleLabError(f"values must be a sequence, got {values!r}")
     count = len(values)
     if count < 2 or count & (count - 1):
         raise ShuffleLabError(f"length must be a power of two >= 2, got {count}")
@@ -300,6 +303,9 @@ def trick_session(
     if initial is None:
         deck = Deck.identity(size)
     else:
+        if not isinstance(initial, Iterable):
+            text = f"initial arrangement must be an iterable of ints, got {initial!r}"
+            raise ShuffleLabError(text)
         cards = tuple((v, False) for v in initial)
         if len(cards) != size:
             raise ShuffleLabError(

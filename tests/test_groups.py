@@ -619,6 +619,28 @@ def test_the_batch_scan_registers_what_the_sequential_scan_does(
     assert chain.order == brute_force_order([Permutation(g) for g in images])
 
 
+@pytest.mark.parametrize("images", BARE_SCAN_CASES + SCAN_GROUPS)
+def test_the_scan_holds_at_most_one_window_of_schreier_generators(
+    monkeypatch, images
+):
+    # bare chains keep the seed pass, the other caller of _distinct, out
+    windows = []
+    distinct = groups._distinct
+
+    def recorded(window, identity):
+        windows.append(len(window))
+        return distinct(window, identity)
+
+    monkeypatch.setattr(groups, "_SCAN_BATCH", 3)
+    reference = _bare_chain(images)
+    _sequential_scan(reference, complete=True)
+    chain = _bare_chain(images)
+    monkeypatch.setattr(groups, "_distinct", recorded)
+    chain._scan(complete=True)
+    assert windows and max(windows) <= 3
+    assert _shape(chain) == _shape(reference)
+
+
 #: SHA-256 over base, orbit sizes, strong generators and ``certified`` of the
 #: chains of CHAIN_SHAPE_CASES.  Equal orders do not imply equal chains: this
 #: pins the registration order of the seed, random and completion phases.
@@ -902,53 +924,18 @@ def test_the_chain_and_the_oracles_agree_on_imprimitive_and_intransitive_groups(
             brute_force_order(gens, order - 1)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    imprimitive_or_intransitive(),
-    st.booleans(),
-    st.sampled_from([1, 3, groups._SCAN_BATCH]),
-    st.data(),
-)
-def test_the_batch_sift_gives_the_first_residue_of_the_sift_one_at_a_time(
-    images, complete, size, data
-):
-    # batches cut as the scan cuts them, with repeats and identities mixed
-    # in, which the batch sift drops: the answer is still the first residue
-    # in order, at its depth
-    m = len(images[0])
-    chain = schreier_sims([Permutation(g) for g in images]) if complete else _bare_chain(images)
-    start = data.draw(st.integers(0, len(chain._levels)))
-    pool = [tuple(range(m)), *images, *(_compose(g, h) for g in images for h in images)]
-    pool += data.draw(st.lists(st.permutations(range(m)).map(tuple), min_size=2, max_size=4))
-    elements = data.draw(st.lists(st.sampled_from(pool), max_size=30))
-    expected = None
-    for g in elements:
-        residue, depth = chain._sift_tuple(g, start)
-        if residue is not None:
-            expected = tuple(residue), depth
-            break
-    found = None
-    for k in range(0, len(elements), size):
-        found = chain._sift_batch([bytes(g) for g in elements[k : k + size]], start)
-        if found is not None:
-            found = tuple(found[0]), found[1]
-            break
-    assert found == expected
-
-
 def test_the_batch_sift_answers_for_the_first_copy_of_a_repeat():
-    # in C_5 both transpositions leave a residue past the one level; keeping
-    # the last copy of x instead of the first would put its residue first
-    chain = schreier_sims([_cycle(5)])
+    # the scan strips a window's first copies in order: keeping the last
+    # copy of x instead of the first would strip x before y
     x, y, identity = bytes((1, 0, 2, 3, 4)), bytes((0, 2, 1, 3, 4)), bytes(range(5))
-    assert chain._sift_batch([identity, y, x, y, identity], 0) == (y, 1)
+    assert groups._distinct([identity, y, x, y, identity, x], identity) == [y, x]
 
 
 def test_the_batch_sift_sifts_each_distinct_element_once():
-    # faro(24)'s Schreier generators hold repeats and identities, and deeper
-    # levels make more: verify looks up 1,404 coset representatives, 6,178
-    # without dropping them, 1,971 without the drop on entry and 3,579
-    # without the drops after the levels
+    # faro(24)'s Schreier generators hold repeats and identities: the 816 of
+    # levels 1 and below are 448 distinct ones, and verify, which strips each
+    # of those once, looks up 1,974 coset representatives, against 2,816 when
+    # every repeat is stripped again
     class Counting(dict):
         lookups = 0
 
@@ -970,11 +957,16 @@ random_sets = st.integers(2, 12).flatmap(
 
 
 def _level_0_residue(chain):
-    """The first residue of level 0's Schreier generators, over every strong
-    generator, sifted from level 1; None if each sifts to the identity."""
-    level = chain._levels[0]
+    """The first residue of level 0's distinct Schreier generators, over every
+    strong generator, stripped one at a time from level 1; None if each
+    strips to the identity."""
+    level, identity = chain._levels[0], chain._identity_bytes
     schreier = groups._schreier_generators(level.coset, level.gens, chain.degree)
-    return chain._sift_batch(list(schreier), 1)
+    for s in groups._distinct(schreier, identity):
+        residue, depth = chain._strip(s, 1, bytes.translate, identity)
+        if residue is not None:
+            return residue, depth
+    return None
 
 
 def _check_level_0_proven(gens):
@@ -1007,9 +999,8 @@ def test_the_seed_pass_proves_level_0_of_every_shuffle_chain(family):
 
 def test_the_batch_sift_drops_the_repeats_of_level_0():
     # a constructed chain's verify no longer scans level 0, where most of
-    # faro(24)'s repeats are; sifted in one batch, its 1,128 Schreier
-    # generators cost 611 lookups, 1,355 without the drop on entry and
-    # 1,260 without the drops after the levels
+    # faro(24)'s repeats are; its 312 Schreier generators are 126 distinct
+    # ones, which cost 708 lookups, against 1,600 with the repeats
     class Counting(dict):
         lookups = 0
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shufflelab import shuffles
+from shufflelab import shuffles, special
 from shufflelab.deck import (
     MAX_DECK_SIZE,
     Card,
@@ -20,7 +20,7 @@ from shufflelab.deck import (
     expand_staystack,
 )
 from shufflelab.elmsley import PositionGraph, shortest_words
-from shufflelab.groups import family_generators, permutation_parity
+from shufflelab.groups import family_generators, permutation_parity, verify_theorem
 from shufflelab.shuffles import (
     POSITION_FAMILIES,
     Family,
@@ -530,6 +530,33 @@ def test_parsing_and_the_library_words_build_no_step(monkeypatch):
     assert calls == []
     Step(Shuffle.MILK, True)  # the counter sees a step that is built
     assert calls == [(Shuffle.MILK, True)]
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (shuffles.as_word, "word"),
+        (lambda value: word_element(value, 8), "word"),
+        (lambda value: element_order(value, 8), "word"),
+        (lambda value: apply_word(value, Deck.identity(8)), "word"),
+        (format_word, "word"),
+        (shuffles.inout_tokens, "word"),
+        (inout_text, "word"),
+        (lambda value: special.trick_session(3, value), "word"),
+        # None is the sorted packet there, so an object stands in for it
+        (
+            lambda value: special.trick_session(3, [], value or object()),
+            "initial arrangement",
+        ),
+        (special.recognize, "values"),
+        (lambda value: verify_theorem(Family.FARO, value), "sizes"),
+        (lambda value: horseshoe_position_step(3, value, Shuffle.HORSE_IN), "position"),
+    ],
+)
+@pytest.mark.parametrize("value", [None, 5])
+def test_entry_points_refuse_a_value_of_the_wrong_type(call, what, value):
+    with pytest.raises(ShuffleLabError, match=f"^{what} must be "):
+        call(value)
 
 
 def test_inout_text_rejects_non_inout():
