@@ -38,8 +38,8 @@ the seed pass, the bounds and the random phase, and every pass over the
 chain, the completion scan included, strips one element at a time
 (``_strip``); both oracles multiply many tables per ``map`` call.  Each
 level keeps its orbit as bytes and a 256-byte membership mask, so two
-``translate`` calls tell whether a new generator adds orbit points.  Only the
-queries, ``sift`` and ``in``, still multiply image tuples, with
+``translate`` calls tell whether a new generator adds orbit points.
+Only the queries, ``sift`` and ``in``, still multiply image tuples, with
 ``deck._compose``; they move to tables once the benchmark stops reading
 a faster query as more memory (ROADMAP item 1).
 """

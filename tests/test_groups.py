@@ -525,8 +525,9 @@ def test_the_scan_alone_completes_a_bare_chain(images):
 def _sequential_scan(chain, complete):
     """The completion scan one Schreier generator at a time, on image tuples.
 
-    The reference for ``StabilizerChain._scan``, which sifts translate tables
-    in batches: it must register the same residues at the same depths.
+    The reference for ``StabilizerChain._scan``, which strips translate tables
+    in windows, each without its repeats: it must register the same residues
+    at the same depths.
     """
     levels = chain._levels
     i = len(levels) - 1
